@@ -570,6 +570,41 @@ BENCHMARK(BM_EndpointMultiDestinationSend)
     ->Arg(4)
     ->UseManualTime();
 
+void BM_RdmaSyncSendRoundTrip(benchmark::State& state) {
+  // The S3D staging path in miniature: a writer hands 39 KB pieces to a
+  // reader on another node with kSync sends. Each send is a rendezvous --
+  // control message, receiver-directed Get, ack -- and only returns once
+  // the ack is back. The writer's per-send ack drain and the reader's
+  // receive passes poll NNTI queues that are usually empty, so an empty
+  // poll that sleeps shows up here at full size.
+  // tools/check_bench_overhead.py gates the per-message median.
+  constexpr std::size_t kPayload = 39 * 1024;
+  evpath::MessageBus bus;
+  auto writer = bus.create_endpoint("writer", evpath::Location{0, 0}).value();
+  auto reader = bus.create_endpoint("reader", evpath::Location{1, 0}).value();
+  std::atomic<bool> stop{false};
+  std::thread drainer([&] {
+    evpath::Message msg;
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)reader->recv(&msg, std::chrono::milliseconds(5));
+    }
+  });
+  const std::vector<std::byte> payload(kPayload, std::byte{5});
+  for (auto _ : state) {
+    const Status st =
+        writer->send("reader", ByteView(payload), evpath::SendMode::kSync);
+    if (!st.is_ok()) {
+      state.SkipWithError(st.to_string().c_str());
+      break;
+    }
+  }
+  stop.store(true);
+  drainer.join();
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kPayload));
+}
+BENCHMARK(BM_RdmaSyncSendRoundTrip);
+
 // ------------------------------------------------- observability overhead --
 // The CI perf-smoke gate compares these two: a disabled counter add must be
 // a branch, not a fetch_add (docs/OBSERVABILITY.md cost model).

@@ -10,8 +10,11 @@ namespace flexio::evpath {
 namespace {
 
 // recv polling: spin-yield first (a message is usually one scheduler slice
-// away in these in-process deployments), then back off into short sleeps so
-// an idle reader stops burning a core during a long step. The cap keeps
+// away in these in-process deployments), then back off into sleeps so an
+// idle reader stops burning a core during a long step. The ladder asks for
+// 2, 4, ..., 256 us, but Linux's default 50 us timer slack stretches every
+// rung below that to ~55 us of real sleep: after the yields, the first
+// sleep already costs a reader ~55 us of added latency. The cap keeps
 // worst-case added latency well under any protocol timeout.
 constexpr int kRecvSpinYields = 64;
 constexpr util::BackoffPolicy kRecvBackoff{

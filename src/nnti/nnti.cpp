@@ -168,8 +168,12 @@ Status Nic::deliver(std::vector<std::byte>&& msg) {
 Status Nic::poll_message(std::vector<std::byte>* out,
                          std::chrono::nanoseconds timeout) {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (!queue_cv_.wait_for(lock, timeout,
-                          [this] { return !message_queue_.empty(); })) {
+  const auto ready = [this] { return !message_queue_.empty(); };
+  // An empty queue with no time left must not reach the condvar: wait_for
+  // with an expired deadline still enters a futex wait, and the kernel's
+  // 50 us timer slack turns that into a real ~59 us sleep.
+  if (!ready() && (timeout <= std::chrono::nanoseconds::zero() ||
+                   !queue_cv_.wait_for(lock, timeout, ready))) {
     return make_error(ErrorCode::kTimeout, "poll_message timed out");
   }
   *out = std::move(message_queue_.front());

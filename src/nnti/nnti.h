@@ -101,7 +101,11 @@ class Nic {
   Status put_message_iov(const std::string& peer,
                          std::span<const ByteView> frags);
 
-  /// Dequeue the next small message; blocks up to `timeout`.
+  /// Dequeue the next small message; blocks up to `timeout` when the queue
+  /// is empty. A zero or negative timeout is a true non-blocking poll: it
+  /// checks the queue under the NIC mutex and returns kTimeout at once if
+  /// it is empty, never sleeping. The RDMA links rely on this for their
+  /// per-send ack drain and per-pass receive checks.
   Status poll_message(std::vector<std::byte>* out,
                       std::chrono::nanoseconds timeout);
 

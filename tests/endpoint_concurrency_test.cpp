@@ -14,6 +14,7 @@
 // already sit in receiver-owned queue state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -247,6 +248,49 @@ TEST(EndpointConcurrencyTest, LinkChurnNeverLosesOrDuplicatesFrames) {
     }
   }
   EXPECT_EQ(seen.size(), static_cast<std::size_t>(kThreads) * kMessages);
+}
+
+TEST(EndpointConcurrencyTest, IdleRdmaLinksLeftByRedialsDoNotSlowRecv) {
+  // Every drop_link re-dial leaves the sink one more inbound RDMA link
+  // that never sends again (no EOS, so recv_from keeps polling it). Each
+  // recv pass checks all of them with a zero-timeout NNTI poll; if such a
+  // poll sleeps (~59 us of timer slack per empty queue), 32 idle links add
+  // ~1.9 ms to every recv and 200 round trips take > 380 ms.
+  constexpr int kIdleLinks = 32;
+  constexpr std::uint32_t kRoundTrips = 200;
+  MessageBus bus;
+  auto hub = bus.create_endpoint("hub", Location{0, 0}).value();
+  auto sink = bus.create_endpoint("sink", Location{1, 0}).value();
+  Message msg;
+  for (int i = 0; i < kIdleLinks; ++i) {
+    ASSERT_TRUE(hub->send("sink", bytes_of(Frame{0, 0})).is_ok());
+    ASSERT_TRUE(sink->recv(&msg, 10s).is_ok());
+    hub->drop_link("sink");
+  }
+  ASSERT_EQ(hub->transport_to("sink").status().code(), ErrorCode::kNotFound);
+
+  // Single-threaded ping-pong on a fresh link: every frame is already
+  // queued when its recv starts, so the time is the recv passes alone.
+  // Best of three rounds, so one preemption cannot fail the test.
+  auto best = std::chrono::steady_clock::duration::max();
+  std::uint32_t seq = 0;
+  for (int round = 0; round < 3; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint32_t i = 0; i < kRoundTrips; ++i, ++seq) {
+      ASSERT_TRUE(hub->send("sink", bytes_of(Frame{1, seq})).is_ok());
+      ASSERT_TRUE(sink->recv(&msg, 10s).is_ok());
+      ASSERT_EQ(frame_of(msg).seq, seq);
+      ASSERT_TRUE(sink->send("hub", bytes_of(Frame{2, seq})).is_ok());
+      ASSERT_TRUE(hub->recv(&msg, 10s).is_ok());
+      ASSERT_EQ(frame_of(msg).seq, seq);
+    }
+    best = std::min(best, std::chrono::steady_clock::now() - t0);
+  }
+  EXPECT_EQ(hub->transport_to("sink").value(), TransportKind::kRdma);
+  EXPECT_LT(best, 40ms)
+      << kRoundTrips << " round trips past " << kIdleLinks
+      << " idle RDMA links took "
+      << std::chrono::duration<double, std::milli>(best).count() << " ms";
 }
 
 TEST(EndpointConcurrencyTest, StatsScrapeRunsAgainstLiveSends) {

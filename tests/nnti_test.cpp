@@ -2,6 +2,8 @@
 // queues, registration cache, fault injection, and the cost model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <thread>
 
@@ -64,6 +66,38 @@ TEST_F(NntiTest, SmallMessageQueueRoundTrip) {
 TEST_F(NntiTest, PollTimesOutWhenEmpty) {
   std::vector<std::byte> out;
   EXPECT_EQ(b_->poll_message(&out, 5ms).code(), ErrorCode::kTimeout);
+}
+
+TEST_F(NntiTest, ZeroTimeoutPollOfEmptyQueueNeverSleeps) {
+  // The RDMA links poll with a zero timeout on every send and on every
+  // receive pass. Routed through a condvar wait with an expired deadline,
+  // each such poll sleeps out the kernel's 50 us timer slack, so 1000 of
+  // them cost >= 50 ms. A real non-blocking poll is a lock and a check.
+  // Best of three rounds, so one preemption cannot fail the test.
+  std::vector<std::byte> out;
+  auto best = std::chrono::steady_clock::duration::max();
+  for (int round = 0; round < 3; ++round) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_EQ(b_->poll_message(&out, 0ns).code(), ErrorCode::kTimeout);
+    }
+    best = std::min(best, std::chrono::steady_clock::now() - t0);
+  }
+  EXPECT_LT(best, 25ms) << "1000 zero-timeout polls took "
+                        << std::chrono::duration<double, std::milli>(best)
+                               .count()
+                        << " ms";
+  EXPECT_EQ(b_->poll_message(&out, -1ms).code(), ErrorCode::kTimeout);
+}
+
+TEST_F(NntiTest, ZeroTimeoutPollReturnsQueuedFrame) {
+  ASSERT_TRUE(a_->put_message("b", bytes_of("ready")).is_ok());
+  std::vector<std::byte> out;
+  ASSERT_TRUE(b_->poll_message(&out, 0ns).is_ok());
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(out.data()), out.size()),
+            "ready");
+  EXPECT_EQ(b_->stats().messages_received, 1u);
+  EXPECT_EQ(b_->poll_message(&out, 0ns).code(), ErrorCode::kTimeout);
 }
 
 TEST_F(NntiTest, QueueDepthEnforced) {

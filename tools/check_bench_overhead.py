@@ -25,6 +25,13 @@ SCALE_MIN_CORES cores -- four threads cannot speed anything up on a
 one-core container, so there the gate reports itself skipped instead of
 failing the build.
 
+The transports report also gates the RDMA sync path:
+BM_RdmaSyncSendRoundTrip (39 KB kSync sends to a reader on another node,
+each a full rendezvous round trip) must stay at or under
+RDMA_SYNC_BUDGET_NS per message. An empty-queue NNTI poll that sleeps out
+the kernel's timer slack instead of returning at once costs ~59 us a
+time, and the round trip makes several of them, so this gate catches it.
+
 With a BENCH_micro_many_streams.json report it gates the multiplexing
 fairness and fan-in properties: pooled mouse p99 with elephant streams
 sharing the link must stay within MOUSE_P99_FACTOR of the mice-only
@@ -53,6 +60,11 @@ ENABLED = "BM_MetricsCounterEnabled"
 # the data path): generous, it only catches accidental O(huge) regressions.
 EXPOSE_BENCH = "BM_StatsExposeSnapshot"
 EXPOSE_BUDGET_NS = 1e6
+
+# Per-message median of a 39 KB RDMA sync send (~27 us measured; 160-190 us
+# when empty-queue polls sleep).
+RDMA_SYNC_BENCH = "BM_RdmaSyncSendRoundTrip"
+RDMA_SYNC_BUDGET_NS = 80e3
 
 PACK_SPEEDUP_MIN = 2.0
 PACK_SEED = "BM_PackSeedInterior3D"
@@ -112,6 +124,15 @@ def check_overhead(report):
           f"(sanity budget {EXPOSE_BUDGET_NS / 1e3:.0f} us)")
     failed |= not ok
     return failed
+
+
+def check_rdma_sync(report):
+    cost = median_ns(report, RDMA_SYNC_BENCH)
+    ok = cost <= RDMA_SYNC_BUDGET_NS
+    verdict = "ok" if ok else "FAIL"
+    print(f"{verdict}: {RDMA_SYNC_BENCH} median {cost / 1e3:.1f} us per "
+          f"message (budget {RDMA_SYNC_BUDGET_NS / 1e3:.0f} us)")
+    return not ok
 
 
 def check_pack_speedup(report):
@@ -206,10 +227,16 @@ def check_many_streams(report):
     return failed
 
 
+def check_transports(report):
+    failed = check_overhead(report)
+    failed |= check_rdma_sync(report)
+    for bench, label in SCALE_BENCHES:
+        failed |= check_pool_scaling(report, bench, label)
+    return failed
+
+
 CHECKS = {
-    "micro_transports": lambda r: check_overhead(r) | any(
-        [check_pool_scaling(r, bench, label) for bench, label in
-         SCALE_BENCHES]),
+    "micro_transports": check_transports,
     "micro_pack": check_pack_speedup,
     "micro_many_streams": check_many_streams,
 }

@@ -28,7 +28,7 @@ def metric(name, median_ns, **extra):
 
 
 def transports_report(cores=8, watchdog_ns=1.0, expose_ns=5e3,
-                      pool4_ns=50e3):
+                      pool4_ns=50e3, rdma_sync_ns=27e3):
     """A micro_transports report that passes every gate by default."""
     return {
         "schema": "flexio-bench-v1",
@@ -42,6 +42,7 @@ def transports_report(cores=8, watchdog_ns=1.0, expose_ns=5e3,
             metric("BM_FlightRecorderIdle", 2.0),
             metric("BM_WatchdogDisabled", watchdog_ns),
             metric("BM_StatsExposeSnapshot", expose_ns),
+            metric("BM_RdmaSyncSendRoundTrip", rdma_sync_ns),
             metric("BM_StreamStepParallelPack/0/manual_time", 101e3),
             metric("BM_StreamStepParallelPack/1/manual_time", 100e3),
             metric("BM_StreamStepParallelPack/4/manual_time", pool4_ns),
@@ -83,6 +84,7 @@ class CheckBenchOverheadTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("ok: BM_WatchdogDisabled", proc.stdout)
         self.assertIn("ok: BM_StatsExposeSnapshot", proc.stdout)
+        self.assertIn("ok: BM_RdmaSyncSendRoundTrip", proc.stdout)
 
     def test_dispatch_by_report_name(self):
         # A micro_pack report must hit the pack gate, not the overhead
@@ -104,6 +106,13 @@ class CheckBenchOverheadTest(unittest.TestCase):
         proc = self.run_script(self.write_report(report))
         self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
         self.assertIn("FAIL: BM_StatsExposeSnapshot", proc.stdout)
+
+    def test_rdma_sync_over_budget_fails(self):
+        # 160 us per message: the cost when empty-queue polls sleep.
+        report = transports_report(rdma_sync_ns=160e3)
+        proc = self.run_script(self.write_report(report))
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("FAIL: BM_RdmaSyncSendRoundTrip", proc.stdout)
 
     def test_scaling_gate_skips_below_min_cores(self):
         # 4 threads no faster than serial would fail the speedup gate, but
@@ -135,12 +144,15 @@ class CheckBenchOverheadTest(unittest.TestCase):
         self.assertIn("unexpected schema", proc.stderr + proc.stdout)
 
     def test_missing_metric_fails(self):
-        report = transports_report()
-        report["metrics"] = [m for m in report["metrics"]
-                             if m["name"] != "BM_WatchdogDisabled"]
-        proc = self.run_script(self.write_report(report))
-        self.assertNotEqual(proc.returncode, 0)
-        self.assertIn("missing from report", proc.stderr + proc.stdout)
+        for name in ("BM_WatchdogDisabled", "BM_RdmaSyncSendRoundTrip"):
+            with self.subTest(name=name):
+                report = transports_report()
+                report["metrics"] = [m for m in report["metrics"]
+                                     if m["name"] != name]
+                proc = self.run_script(self.write_report(report))
+                self.assertNotEqual(proc.returncode, 0)
+                self.assertIn(name, proc.stderr + proc.stdout)
+                self.assertIn("missing from report", proc.stderr + proc.stdout)
 
     def test_no_gateable_report_fails(self):
         report = transports_report()

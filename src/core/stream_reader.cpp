@@ -766,7 +766,6 @@ Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
     block.writer_rank = writer_rank;
     const auto plug = reader_plugins_.find(piece.meta.name);
     if (plug != reader_plugins_.end()) {
-      PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
       auto transformed = plug->second(piece);
       if (!transformed.is_ok()) return transformed.status();
       block.meta = transformed.value().meta;
@@ -784,7 +783,6 @@ Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
   wire::DataPiece transformed_storage;
   const auto plug = reader_plugins_.find(piece.meta.name);
   if (plug != reader_plugins_.end()) {
-    PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
     auto transformed = plug->second(piece);
     if (!transformed.is_ok()) return transformed.status();
     transformed_storage = std::move(transformed).value();
@@ -813,11 +811,9 @@ Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
 }
 
 Status StreamReader::perform_reads_file() {
-  PerfMonitor::ScopedTimer t(&monitor_, "read.file");
   for (const PendingRead& pr : pending_reads_) {
     FLEXIO_RETURN_IF_ERROR(bp_->read_global(step_, pr.var, pr.selection,
                                             pr.dst));
-    monitor_.add_count("bytes.read", pr.dst.size());
   }
   for (int w : pending_pg_) {
     for (const adios::BpBlockRef& ref : bp_->blocks_for_writer(step_, w)) {
@@ -828,7 +824,6 @@ Status StreamReader::perform_reads_file() {
       block.payload.resize(ref.payload_bytes);
       FLEXIO_RETURN_IF_ERROR(
           bp_->read_block(ref, MutableByteView(block.payload)));
-      monitor_.add_count("bytes.read", block.payload.size());
       pg_blocks_.push_back(std::move(block));
     }
   }
@@ -861,7 +856,6 @@ Status StreamReader::perform_reads_stream() {
 
   if (do_exchange) {
     trace::Span hs_span("reader.handshake");
-    PerfMonitor::ScopedTimer t(&monitor_, "handshake.exchange");
     // Step 1.a: gather selections at the coordinator.
     std::vector<std::vector<std::byte>> all;
     FLEXIO_RETURN_IF_ERROR(program_->gather(
@@ -905,7 +899,6 @@ Status StreamReader::perform_reads_stream() {
     if (cached_request_.membership_epoch) {
       cached_epoch_ = *cached_request_.membership_epoch;
     }
-    monitor_.add_count("handshake.performed", 1);
     handshakes_performed_counter().inc();
 
     for (const wire::PluginInstall& p : cached_request_.plugins) {
@@ -928,12 +921,9 @@ Status StreamReader::perform_reads_stream() {
     cached_expected_ =
         pieces_to_reader(plan_transfers(step_blocks_, cached_request_), rank_);
     plan_cache_misses_counter().inc();
-    monitor_.add_count("plan.cache_miss", 1);
   } else {
-    monitor_.add_count("handshake.skipped", 1);
     handshakes_skipped_counter().inc();
     plan_cache_hits_counter().inc();
-    monitor_.add_count("plan.cache_hit", 1);
     if (rank_ == Program::kCoordinator && !pending_plugins_.empty()) {
       return make_error(ErrorCode::kFailedPrecondition,
                         "plug-in (un)installation needs handshakes; "
@@ -967,7 +957,6 @@ Status StreamReader::perform_reads_stream() {
   // (writer_rank, var) so each arriving piece probes only its own bucket
   // instead of scanning the full expectation list -- O(pieces log buckets)
   // instead of O(pieces x expected).
-  PerfMonitor::ScopedTimer t(&monitor_, "read.receive");
   std::multimap<std::pair<int, std::string>, const TransferPiece*> remaining;
   for (const TransferPiece& p : cached_expected_) {
     remaining.emplace(std::make_pair(p.writer_rank, p.var), &p);
@@ -1001,7 +990,6 @@ Status StreamReader::perform_reads_stream() {
       remaining.erase(hit);
       const std::size_t piece_bytes = piece.bytes().size();
       matched.push_back(MatchedPiece{std::move(piece), msg.writer_rank});
-      monitor_.add_count("bytes.received", piece_bytes);
       stream_bytes_received_counter().add(piece_bytes);
       any = true;
     }
@@ -1126,9 +1114,9 @@ Status StreamReader::perform_reads_stream() {
     if (t_ns > unpack_max) unpack_max = t_ns;
   }
 
-  // Fold this step's phase timings into the registry histograms and the
-  // per-endpoint monitor. Transfer time may have accumulated before the
-  // step opened (stashed early arrivals), hence the per-step map.
+  // Fold this step's phase timings into the registry histograms. Transfer
+  // time may have accumulated before the step opened (stashed early
+  // arrivals), hence the per-step map.
   std::uint64_t transfer_ns = 0;
   if (const auto it = transfer_accum_.find(step_);
       it != transfer_accum_.end()) {
@@ -1138,15 +1126,11 @@ Status StreamReader::perform_reads_stream() {
   step_transfer_hist().record(transfer_ns);
   step_unpack_hist().record(unpack_ns);
   step_unpack_critical_hist().record(unpack_max);
-  monitor_.add_count("phase.transfer_ns", transfer_ns);
-  monitor_.add_count("phase.unpack_ns", unpack_ns);
-  monitor_.add_count("phase.unpack_critical_ns", unpack_max);
   if (have_announce_ctx_ && announce_ctx_.step == step_) {
     const std::uint64_t now = metrics::now_ns();
     const std::uint64_t total =
         now > announce_ctx_.send_ns ? now - announce_ctx_.send_ns : 0;
     step_total_hist().record(total);
-    monitor_.add_count("phase.total_ns", total);
   }
   return Status::ok();
 }

@@ -17,7 +17,7 @@ std::chrono::nanoseconds ns_from_ms(double ms) {
 
 // Process-wide handshake accounting, shared with StreamReader: both sides
 // bump the same registry counters, so in a colocated test the totals are
-// 2x the per-side expectation. The per-instance PerfMonitor keeps exact
+// 2x the per-side expectation. StreamWriter::Stats keeps exact
 // per-endpoint numbers for wire::MonitorReport.
 metrics::Counter& handshakes_performed_counter() {
   static metrics::Counter& c = metrics::counter("flexio.handshake.performed");
@@ -66,6 +66,23 @@ metrics::Histogram& step_pack_critical_hist() {
       metrics::histogram("flexio.step.pack.critical.ns");
   return h;
 }
+
+// Adds the scope's wall time to a Stats field. Not gated by
+// FLEXIO_METRICS: the close report must not depend on the registry. Reads
+// metrics::now_ns(), the registry's swappable clock, so tests driving the
+// fake clock see deterministic MonitorReport timings too.
+class AddElapsedNs {
+ public:
+  explicit AddElapsedNs(std::uint64_t* total)
+      : total_(total), start_ns_(metrics::now_ns()) {}
+  ~AddElapsedNs() { *total_ += metrics::now_ns() - start_ns_; }
+  AddElapsedNs(const AddElapsedNs&) = delete;
+  AddElapsedNs& operator=(const AddElapsedNs&) = delete;
+
+ private:
+  std::uint64_t* total_;
+  std::uint64_t start_ns_;
+};
 }  // namespace
 
 StreamWriter::~StreamWriter() {
@@ -203,7 +220,7 @@ Status StreamWriter::write(const adios::VarMeta& meta, ByteView payload) {
     return make_error(ErrorCode::kInvalidArgument,
                       "payload size does not match metadata of " + meta.name);
   }
-  PerfMonitor::ScopedTimer t(&monitor_, "write.pack");
+  AddElapsedNs t(&stats_.write_ns);
   if (bp_) return bp_->write(meta, payload);
 
   for (const wire::BlockInfo& existing : my_blocks_) {
@@ -223,7 +240,6 @@ Status StreamWriter::write(const adios::VarMeta& meta, ByteView payload) {
     my_blocks_.push_back(std::move(block));
     my_payloads_.emplace_back(payload.begin(), payload.end());
   }
-  monitor_.add_count("bytes.written", payload.size());
   return Status::ok();
 }
 
@@ -254,7 +270,6 @@ Status StreamWriter::end_step() {
 }
 
 Status StreamWriter::end_step_file() {
-  PerfMonitor::ScopedTimer t(&monitor_, "write.file_flush");
   return bp_->end_step();
 }
 
@@ -294,14 +309,13 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
     have_members_ = true;
     step_epoch = member_update_.epoch;
     epoch_changed = !first && step_epoch != planned_epoch_;
-    if (epoch_changed) monitor_.add_count("membership.replans", 1);
   }
 
   // Step 1.s: gather local distributions at the coordinator, unless the
   // local side is cached (CACHING_LOCAL and CACHING_ALL skip it).
   const bool do_gather = first || epoch_changed || caching == CachingLevel::kNone;
   if (do_gather) {
-    PerfMonitor::ScopedTimer t(&monitor_, "handshake.gather");
+    AddElapsedNs t(&stats_.handshake_ns);
     wire::StepAnnounce mine;
     mine.step = step_;
     mine.blocks = my_blocks_;
@@ -319,8 +333,6 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
         }
       }
     }
-  } else {
-    monitor_.add_count("handshake.gather_skipped", 1);
   }
 
   // Steps 2+3: exchange with the peer side, unless fully cached. An epoch
@@ -329,7 +341,7 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
   const bool do_exchange = first || epoch_changed || caching != CachingLevel::kAll;
   *did_exchange = do_exchange;
   if (do_exchange) {
-    PerfMonitor::ScopedTimer t(&monitor_, "handshake.exchange");
+    AddElapsedNs t(&stats_.handshake_ns);
     std::vector<std::byte> request_raw;
     if (rank_ == Program::kCoordinator) {
       if (epoch_changed) {
@@ -377,7 +389,7 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
     }
     // The reader's request may have changed: the cached send plan is stale.
     have_cached_plan_ = false;
-    monitor_.add_count("handshake.performed", 1);
+    ++stats_.handshakes_performed;
     handshakes_performed_counter().inc();
 
     // Install any plug-ins that rode along with the request. An empty
@@ -387,7 +399,6 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
       if (!p.run_at_writer) continue;
       if (p.source.empty()) {
         plugins_.erase(p.var);
-        monitor_.add_count("plugin.removed", 1);
         continue;
       }
       PluginCompiler compiler = rt_->plugin_compiler();
@@ -398,10 +409,9 @@ Status StreamWriter::run_handshake(bool* did_exchange) {
       auto fn = compiler(p.source);
       if (!fn.is_ok()) return fn.status();
       plugins_[p.var] = std::move(fn).value();
-      monitor_.add_count("plugin.installed", 1);
     }
   } else {
-    monitor_.add_count("handshake.skipped", 1);
+    ++stats_.handshakes_skipped;
     handshakes_skipped_counter().inc();
   }
   if (!have_cached_request_) {
@@ -458,17 +468,15 @@ struct StreamWriter::ReaderWork {
 
 Status StreamWriter::send_pieces() {
   trace::Span span("writer.send_pieces");
-  PerfMonitor::ScopedTimer t(&monitor_, "write.send");
+  AddElapsedNs t(&stats_.send_ns);
   // Reuse the cached per-reader plan when neither side of the handshake
   // changed; otherwise recompute and rebind.
   if (have_cached_plan_ && !plan_bindings_valid()) have_cached_plan_ = false;
   if (have_cached_plan_) {
     plan_cache_hits_counter().inc();
-    monitor_.add_count("plan.cache_hit", 1);
   } else {
     rebuild_send_plan();
     plan_cache_misses_counter().inc();
-    monitor_.add_count("plan.cache_miss", 1);
   }
 
   // Serial prologue: membership gating mutates shared writer state (the
@@ -488,7 +496,6 @@ Status StreamWriter::send_pieces() {
         // part of a step: the next epoch-changed handshake re-plans over
         // the survivors). Drop its pieces instead of stalling the step.
         dropped_pieces_counter().add(planned.size());
-        monitor_.add_count("membership.pieces_dropped", planned.size());
         continue;
       }
       const auto it = link_incarnation_.find(reader);
@@ -502,11 +509,10 @@ Status StreamWriter::send_pieces() {
     work.push_back(ReaderWork{reader, &planned, std::move(dest)});
   }
 
-  // Per-task timing slots: disjoint indices, written by exactly one task
+  // Per-task tally slots: disjoint indices, written by exactly one task
   // each, read after the batch joins (run_batch's completion wait is the
   // synchronization point).
-  std::vector<std::uint64_t> task_pack_ns(work.size(), 0);
-  std::vector<std::uint64_t> task_enqueue_ns(work.size(), 0);
+  std::vector<TaskTally> tally(work.size());
 
   Status sent = Status::ok();
   if (pack_pool_ != nullptr && work.size() > 1) {
@@ -518,10 +524,9 @@ Status StreamWriter::send_pieces() {
     std::vector<util::WorkPool::Task> tasks;
     tasks.reserve(work.size());
     for (std::size_t i = 0; i < work.size(); ++i) {
-      tasks.push_back([this, tctx, &work, &task_pack_ns, &task_enqueue_ns,
-                       i]() -> Status {
+      tasks.push_back([this, tctx, &work, &tally, i]() -> Status {
         trace::TaskScope task_identity(tctx);
-        return send_to_reader(work[i], &task_pack_ns[i], &task_enqueue_ns[i]);
+        return send_to_reader(work[i], &tally[i]);
       });
     }
     sent = pack_pool_->run_batch(std::move(tasks));
@@ -529,36 +534,40 @@ Status StreamWriter::send_pieces() {
     // Serial path: same tasks, same all-run + first-error-wins semantics,
     // executed inline in plan order.
     for (std::size_t i = 0; i < work.size(); ++i) {
-      const Status st =
-          send_to_reader(work[i], &task_pack_ns[i], &task_enqueue_ns[i]);
+      const Status st = send_to_reader(work[i], &tally[i]);
       if (sent.is_ok()) sent = st;
     }
   }
-  if (!sent.is_ok()) return sent;
 
-  // Phase attribution: the sum over tasks is the step's total pack work
-  // (invariant across thread counts); the max is the parallel critical
-  // path -- the pack time the step actually waits for.
-  std::uint64_t pack_sum = 0;
+  // Fold the tallies. Volumes count every attempted send, like the
+  // registry counters beside them; phase times count completed steps only.
+  // The sum over tasks is the step's total pack work (invariant across
+  // thread counts); the max is the parallel critical path -- the pack time
+  // the step actually waits for.
+  TaskTally sum;
   std::uint64_t pack_max = 0;
-  std::uint64_t enqueue_sum = 0;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    pack_sum += task_pack_ns[i];
-    if (task_pack_ns[i] > pack_max) pack_max = task_pack_ns[i];
-    enqueue_sum += task_enqueue_ns[i];
+  for (const TaskTally& t : tally) {
+    sum.pack_ns += t.pack_ns;
+    sum.enqueue_ns += t.enqueue_ns;
+    sum.bytes_sent += t.bytes_sent;
+    sum.msgs_sent += t.msgs_sent;
+    sum.plugin_pieces += t.plugin_pieces;
+    if (t.pack_ns > pack_max) pack_max = t.pack_ns;
   }
-  step_pack_hist().record(pack_sum);
+  stats_.bytes_sent += sum.bytes_sent;
+  stats_.msgs_sent += sum.msgs_sent;
+  stats_.plugin_pieces += sum.plugin_pieces;
+  if (!sent.is_ok()) return sent;
+  step_pack_hist().record(sum.pack_ns);
   step_pack_critical_hist().record(pack_max);
-  step_enqueue_hist().record(enqueue_sum);
-  monitor_.add_count("phase.pack_ns", pack_sum);
-  monitor_.add_count("phase.pack_critical_ns", pack_max);
-  monitor_.add_count("phase.enqueue_ns", enqueue_sum);
+  step_enqueue_hist().record(sum.enqueue_ns);
+  stats_.pack_ns += sum.pack_ns;
+  stats_.enqueue_ns += sum.enqueue_ns;
   return Status::ok();
 }
 
 Status StreamWriter::send_to_reader(const ReaderWork& work,
-                                    std::uint64_t* pack_ns,
-                                    std::uint64_t* enqueue_ns) {
+                                    TaskTally* tally) {
   trace::Span span("writer.pack_task");
   const std::vector<PlannedPiece>& planned = *work.planned;
   const auto send_mode = spec_.method.async_writes ? evpath::SendMode::kAsync
@@ -585,19 +594,18 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
       piece.payload.resize(p.region.elements() * elem);
       adios::copy_region(block.meta.block, payload.data(), p.region,
                          piece.payload.data(), p.region, elem);
-      *pack_ns += metrics::now_ns() - pack_start;
+      tally->pack_ns += metrics::now_ns() - pack_start;
     }
     // Writer-side DC plug-in, if deployed against this variable. Plug-ins
     // may run concurrently against different pieces; they transform their
     // input and must not mutate shared state (DESIGN.md "Parallel pack").
     const auto plug = plugins_.find(p.var);
     if (plug != plugins_.end()) {
-      PerfMonitor::ScopedTimer pt(&monitor_, "plugin.exec");
       piece.materialize();  // plug-ins consume owned payload bytes
       auto transformed = plug->second(piece);
       if (!transformed.is_ok()) return transformed.status();
       piece = std::move(transformed).value();
-      monitor_.add_count("plugin.pieces", 1);
+      ++tally->plugin_pieces;
     }
     packed.push_back(std::move(piece));
   }
@@ -610,21 +618,20 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
                                    metrics::now_ns()};
     std::uint64_t bytes = 0;
     for (const auto& p : msg.pieces) bytes += p.bytes().size();
-    monitor_.add_count("bytes.sent", bytes);
-    monitor_.add_count("msgs.sent", 1);
+    tally->bytes_sent += bytes;
+    ++tally->msgs_sent;
     stream_bytes_sent_counter().add(bytes);
     // Scatter-gather framing: header slices interleaved with borrowed
     // payload views; transports gather them without a flat intermediate.
     const serial::IovMessage iov = wire::encode_data_iov(msg);
     const std::uint64_t enqueue_start = metrics::now_ns();
     const Status st = channel_->send_iov(work.dest, iov.frags, send_mode);
-    *enqueue_ns += metrics::now_ns() - enqueue_start;
+    tally->enqueue_ns += metrics::now_ns() - enqueue_start;
     return st;
   };
   Status sent = Status::ok();
   if (spec_.method.batching) {
     sent = send_batch(std::move(packed));
-    if (sent.is_ok()) monitor_.add_count("msgs.batched", 1);
   } else {
     for (auto& piece : packed) {
       std::vector<wire::DataPiece> one;
@@ -648,7 +655,6 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
     }
     channel_->drop_link(work.dest);
     dropped_pieces_counter().add(planned.size());
-    monitor_.add_count("membership.pieces_dropped", planned.size());
   }
   return Status::ok();
 }
@@ -697,15 +703,14 @@ Status StreamWriter::end_step_stream() {
 wire::MonitorReport StreamWriter::build_report() const {
   wire::MonitorReport r;
   r.steps = steps_completed_;
-  r.bytes_sent = monitor_.count("bytes.sent");
-  r.pack_seconds = monitor_.total_time("write.pack");
-  r.handshake_seconds = monitor_.total_time("handshake.gather") +
-                        monitor_.total_time("handshake.exchange");
-  r.send_seconds = monitor_.total_time("write.send");
-  r.handshakes_performed = monitor_.count("handshake.performed");
-  r.handshakes_skipped = monitor_.count("handshake.skipped");
-  r.pack_ns = monitor_.count("phase.pack_ns");
-  r.enqueue_ns = monitor_.count("phase.enqueue_ns");
+  r.bytes_sent = stats_.bytes_sent;
+  r.pack_seconds = static_cast<double>(stats_.write_ns) * 1e-9;
+  r.handshake_seconds = static_cast<double>(stats_.handshake_ns) * 1e-9;
+  r.send_seconds = static_cast<double>(stats_.send_ns) * 1e-9;
+  r.handshakes_performed = stats_.handshakes_performed;
+  r.handshakes_skipped = stats_.handshakes_skipped;
+  r.pack_ns = stats_.pack_ns;
+  r.enqueue_ns = stats_.enqueue_ns;
   r.phase_steps = steps_completed_;
   return r;
 }

@@ -8,6 +8,7 @@
 // All ranks of the writer program call every method collectively (SPMD).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -57,8 +58,22 @@ class StreamWriter {
         channel_->peer_name(spec_.stream, reader_program_, reader_rank));
   }
 
-  /// Writer-side monitoring (Section II.G).
-  const PerfMonitor& monitor() const { return monitor_; }
+  /// Writer-side monitoring (Section II.G): exact per-stream totals behind
+  /// the wire::MonitorReport shipped at close. Unlike the process-global
+  /// metrics registry, these count whether or not FLEXIO_METRICS is on.
+  struct Stats {
+    std::uint64_t bytes_sent = 0;     // payload bytes of data messages
+    std::uint64_t msgs_sent = 0;      // data messages handed to the channel
+    std::uint64_t plugin_pieces = 0;  // pieces a writer-side plug-in ran on
+    std::uint64_t handshakes_performed = 0;
+    std::uint64_t handshakes_skipped = 0;
+    std::uint64_t pack_ns = 0;     // region packing, summed over pack tasks
+    std::uint64_t enqueue_ns = 0;  // channel sends, summed over pack tasks
+    std::uint64_t write_ns = 0;      // inside write() -> pack_seconds
+    std::uint64_t handshake_ns = 0;  // gather + exchange -> handshake_seconds
+    std::uint64_t send_ns = 0;       // inside send_pieces() -> send_seconds
+  };
+  const Stats& stats() const { return stats_; }
 
   /// Packing concurrency the writer resolved at open() (method config,
   /// else FLEXIO_PACK_THREADS, else 1 = serial).
@@ -82,11 +97,17 @@ class StreamWriter {
   Status send_pieces();
   /// One pool task: pack, transform, and send every planned piece for one
   /// reader. Shared writer state is read-only while a batch is in flight
-  /// (see DESIGN.md "Parallel pack"); the out-params are this task's
-  /// private slots in the per-task timing vectors.
+  /// (see DESIGN.md "Parallel pack"); `tally` is this task's private slot,
+  /// folded into stats_ after the batch joins.
   struct ReaderWork;
-  Status send_to_reader(const ReaderWork& work, std::uint64_t* pack_ns,
-                        std::uint64_t* enqueue_ns);
+  struct TaskTally {
+    std::uint64_t pack_ns = 0;
+    std::uint64_t enqueue_ns = 0;
+    std::uint64_t bytes_sent = 0;
+    std::uint64_t msgs_sent = 0;
+    std::uint64_t plugin_pieces = 0;
+  };
+  Status send_to_reader(const ReaderWork& work, TaskTally* tally);
   void rebuild_send_plan();
   bool plan_bindings_valid() const;
   wire::MonitorReport build_report() const;
@@ -170,7 +191,7 @@ class StreamWriter {
   // File mode.
   std::unique_ptr<adios::BpWriter> bp_;
 
-  PerfMonitor monitor_;
+  Stats stats_;
 };
 
 }  // namespace flexio

@@ -13,10 +13,13 @@
 //  * A process-wide fake clock hook makes every timing metric (and trace
 //    span) deterministic under test.
 //
-// Unlike core/monitor.h's PerfMonitor -- which is per-stream state that
-// feeds the wire::MonitorReport shipped to the analytics side -- this
-// registry is process-global and feeds offline tooling: bench/report.h
-// counter deltas, tools/flexio_trace dumps, and test invariants.
+// This registry is the runtime's one measurement substrate (paper Section
+// II.G). It is process-global and feeds offline tuning and tooling:
+// dump_json and the flight recorder (util/flight_recorder.h), bench/report.h
+// counter deltas, tools/flexio_trace dumps, and test invariants. The only
+// other record is StreamWriter::Stats, a handful of plain per-stream totals
+// behind the wire::MonitorReport shipped to the analytics side; those must
+// count even when FLEXIO_METRICS is off.
 #pragma once
 
 #include <atomic>

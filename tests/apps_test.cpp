@@ -226,6 +226,13 @@ struct MachineCase {
   double s3d_improvement;  // staging-vs-inline: ~19% (Smoky) / ~30% (Titan)
 };
 
+// Without this, gtest prints the raw bytes of the two pointers above into
+// each discovered ctest name, so the names change with every ASLR layout.
+void PrintTo(const MachineCase& mc, std::ostream* os) {
+  *os << mc.name << " gts_cores=" << mc.gts_cores
+      << " s3d_cores=" << mc.s3d_cores;
+}
+
 class ModelShapeTest : public ::testing::TestWithParam<MachineCase> {};
 
 double total(const CoupledConfig& config) {

@@ -193,8 +193,7 @@ TEST(PluginMobilityTest, MigratesBetweenAddressSpacesAtRuntime) {
     }
     ASSERT_TRUE(w.value()->close().is_ok());
     // Ran at the writer for the middle two steps only.
-    EXPECT_EQ(w.value()->monitor().count("plugin.pieces"), 2u);
-    EXPECT_EQ(w.value()->monitor().count("plugin.removed"), 1u);
+    EXPECT_EQ(w.value()->stats().plugin_pieces, 2u);
   });
   std::thread reader([&] {
     StreamSpec spec;

@@ -927,7 +927,7 @@ TEST(PipelineModesTest, WriterSidePluginFiltersParticles) {
     ASSERT_TRUE(w.value()->end_step().is_ok());
     ASSERT_TRUE(w.value()->close().is_ok());
     // The plug-in ran inside the writer's address space.
-    EXPECT_EQ(w.value()->monitor().count("plugin.pieces"), 1u);
+    EXPECT_EQ(w.value()->stats().plugin_pieces, 1u);
   });
   std::thread reader([&] {
     StreamSpec spec;
@@ -1091,25 +1091,6 @@ TEST(StreamApiTest, SequencingErrorsSurfaced) {
   });
   writer.join();
   reader.join();
-}
-
-TEST(MonitorTest, MetricsAccumulate) {
-  PerfMonitor m;
-  m.record_time("phase.a", 0.5);
-  m.record_time("phase.a", 1.5);
-  m.add_count("bytes", 100);
-  m.add_count("bytes", 50);
-  EXPECT_EQ(m.time_stats("phase.a").count(), 2u);
-  EXPECT_DOUBLE_EQ(m.total_time("phase.a"), 2.0);
-  EXPECT_EQ(m.count("bytes"), 150u);
-  EXPECT_EQ(m.count("missing"), 0u);
-  EXPECT_NE(m.report().find("phase.a"), std::string::npos);
-  const std::string path = ::testing::TempDir() + "/monitor.csv";
-  ASSERT_TRUE(m.dump_csv(path).is_ok());
-  std::ifstream in(path);
-  std::string header;
-  std::getline(in, header);
-  EXPECT_EQ(header, "metric,kind,count,total,mean,min,max");
 }
 
 }  // namespace

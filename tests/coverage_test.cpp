@@ -1,6 +1,6 @@
 // Additional edge-case and property coverage across modules: BP file
 // round-trip properties, CoD language corners, flow-network invariants,
-// XML parser corners, and monitoring trace output.
+// and XML parser corners.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -11,7 +11,6 @@
 #include "cod/plugin.h"
 #include "cod/program.h"
 #include "core/advisor.h"
-#include "core/monitor.h"
 #include "sim/engine.h"
 #include "sim/flow_network.h"
 #include "util/rng.h"
@@ -348,30 +347,6 @@ TEST(AdvisorTest, InputsFromShippedReport) {
   const auto in = inputs_from_reports(report, 110e6, 0.2, 0.02, 1.5e9);
   EXPECT_NEAR(in.writer_headroom_seconds, 0.05, 1e-12);
   EXPECT_TRUE(advise_plugin_placement(in).run_at_writer);
-}
-
-// ------------------------------------------------- monitoring trace dump --
-
-TEST(MonitorTraceTest, CsvIsParseable) {
-  PerfMonitor monitor;
-  monitor.record_time("io.write", 0.25);
-  monitor.record_time("io.write", 0.75);
-  monitor.add_count("bytes", 4096);
-  const std::string path = ::testing::TempDir() + "/trace.csv";
-  ASSERT_TRUE(monitor.dump_csv(path).is_ok());
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);  // header
-  int rows = 0;
-  bool saw_time = false, saw_count = false;
-  while (std::getline(in, line)) {
-    ++rows;
-    if (line.find("io.write,time,2,") == 0) saw_time = true;
-    if (line.find("bytes,count,4096") == 0) saw_count = true;
-  }
-  EXPECT_EQ(rows, 2);
-  EXPECT_TRUE(saw_time);
-  EXPECT_TRUE(saw_count);
 }
 
 }  // namespace

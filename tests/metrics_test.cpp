@@ -84,25 +84,33 @@ TEST_F(MetricsTest, GaugeBalancesAcrossThreads) {
 // A reader snapshots while writers are mid-update. The sharded atomics mean
 // each observed value is a sum of per-shard loads: never torn, and -- since
 // counters are monotone -- never exceeding the final total. Run under TSan
-// (CI) this also pins that snapshot_all() has no data races.
+// (CI) this also pins that snapshot_all() has no data races. The writers
+// start only once the reader has taken its first snapshot: otherwise they
+// can finish all their increments before the reader thread first runs, and
+// the test would observe nothing.
 TEST_F(MetricsTest, SnapshotDuringUpdateIsTornFreeAndMonotone) {
   Counter& c = counter("test.snapshot.counter");
   c.reset();
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerThread = 100000;
   constexpr std::uint64_t kFinal = kWriters * kPerThread;
+  std::atomic<bool> first_snapshot{false};
   std::atomic<bool> done{false};
   std::vector<std::thread> writers;
   for (int t = 0; t < kWriters; ++t) {
-    writers.emplace_back([&c] {
+    writers.emplace_back([&c, &first_snapshot] {
+      while (!first_snapshot.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (std::uint64_t i = 0; i < kPerThread; ++i) c.inc();
     });
   }
   std::uint64_t prev = 0;
   std::uint64_t observations = 0;
   std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    do {
       const auto snap = snapshot_all();
+      first_snapshot.store(true, std::memory_order_release);
       const auto it = snap.find("test.snapshot.counter");
       ASSERT_NE(it, snap.end());
       ASSERT_EQ(it->second.kind, MetricSnapshot::Kind::kCounter);
@@ -111,7 +119,7 @@ TEST_F(MetricsTest, SnapshotDuringUpdateIsTornFreeAndMonotone) {
       EXPECT_LE(v, kFinal) << "counter snapshot torn past final total";
       prev = v;
       ++observations;
-    }
+    } while (!done.load(std::memory_order_acquire));
   });
   for (auto& th : writers) th.join();
   done.store(true, std::memory_order_release);

@@ -8,9 +8,12 @@
 // and therefore to each other -- regardless of thread count. On top of
 // that, the flexio.pack.{bytes,memcpy_runs} counter deltas must be
 // *identical* across thread counts: parallel pack must execute exactly
-// the same strided copies as serial, just on more threads. Runs under
-// TSan via the concurrency label (the acceptance gate for the full
-// thread-count x caching matrix).
+// the same strided copies as serial, just on more threads. The writer's
+// shipped close report (bytes, handshakes performed and skipped), which
+// folds per-task tallies after each batch, must match the serial run
+// exactly too -- also with the metrics registry switched off, since the
+// report does not depend on that gate. Runs under TSan via the concurrency
+// label (the acceptance gate for the full thread-count x caching matrix).
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -83,6 +86,7 @@ TEST_P(PackParallelOracleTest, ThreadCountNeverChangesBytesOrCopies) {
 
   PackCounters serial_delta;
   std::uint64_t serial_verified = 0;
+  wire::MonitorReport serial_report;
   for (const int pack : {1, 2, 4}) {
     StressConfig cfg = base;
     cfg.pack_threads = pack;
@@ -95,11 +99,13 @@ TEST_P(PackParallelOracleTest, ThreadCountNeverChangesBytesOrCopies) {
     // Every element verified against the golden model: any byte diverging
     // from the serial run fails inside run_stress before we get here.
     ASSERT_GT(result.elements_verified, 0u);
+    ASSERT_TRUE(result.report.has_value()) << "pack_threads=" << pack;
     const PackCounters delta{after.bytes - before.bytes,
                              after.memcpy_runs - before.memcpy_runs};
     if (pack == 1) {
       serial_delta = delta;
       serial_verified = result.elements_verified;
+      serial_report = *result.report;
       continue;
     }
     EXPECT_EQ(delta.bytes, serial_delta.bytes) << "pack_threads=" << pack;
@@ -107,7 +113,27 @@ TEST_P(PackParallelOracleTest, ThreadCountNeverChangesBytesOrCopies) {
         << "pack_threads=" << pack;
     EXPECT_EQ(result.elements_verified, serial_verified)
         << "pack_threads=" << pack;
+    EXPECT_EQ(result.report->bytes_sent, serial_report.bytes_sent)
+        << "pack_threads=" << pack;
+    EXPECT_EQ(result.report->handshakes_performed,
+              serial_report.handshakes_performed)
+        << "pack_threads=" << pack;
+    EXPECT_EQ(result.report->handshakes_skipped,
+              serial_report.handshakes_skipped)
+        << "pack_threads=" << pack;
   }
+
+  // The close report counts with the registry off: same bytes as serial.
+  StressConfig cfg = base;
+  cfg.pack_threads = 4;
+  cfg.stream = "pack_oracle_" + caching + "_unmetered";
+  metrics::set_enabled(false);
+  const StressResult result = run_stress(cfg);
+  metrics::set_enabled(true);
+  ASSERT_TRUE(result.status.is_ok()) << result.status.to_string();
+  ASSERT_TRUE(result.report.has_value());
+  EXPECT_GT(result.report->bytes_sent, 0u);
+  EXPECT_EQ(result.report->bytes_sent, serial_report.bytes_sent);
 }
 
 INSTANTIATE_TEST_SUITE_P(CachingMatrix, PackParallelOracleTest,

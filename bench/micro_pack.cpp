@@ -8,6 +8,11 @@
 // The dense case shows the trailing-dimension coalescing collapsing a full
 // block copy into a single memcpy. CI's perf-smoke gate asserts the
 // interior-region speedup stays >= 2x (tools/check_bench_overhead.py).
+//
+// BM_CodZionFilter times the other per-piece cost of the writer's pack
+// task: a DC plug-in (the GTS zion range query) over one borrowed 20k x 7
+// particle block, as StreamWriter::send_to_reader runs it. The gate holds
+// it under a per-piece budget.
 #include <benchmark/benchmark.h>
 
 #include <cstring>
@@ -15,7 +20,9 @@
 
 #include "adios/array.h"
 #include "bench/gbench_main.h"
+#include "cod/plugin.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace {
 
@@ -141,6 +148,55 @@ void BM_PackStridedDense3D(benchmark::State& state) {
   set_bytes(state, w, w.box);
 }
 BENCHMARK(BM_PackStridedDense3D);
+
+// The zion filter of the GTS helper-core pipeline (stepbench gts_helper
+// workload, examples/gts_pipeline): keep particles whose velocity
+// magnitude exceeds 0.4.
+constexpr const char* kZionFilter = R"(
+  void transform() {
+    int r;
+    for (r = 0; r < rows; r = r + 1) {
+      double vpar = input[r * cols + 3];
+      double vperp = input[r * cols + 4];
+      if (sqrt(vpar*vpar + vperp*vperp) > 0.4)
+        keep_row(r);
+    }
+  })";
+
+void BM_CodZionFilter(benchmark::State& state) {
+  constexpr std::uint64_t kRows = 20000;
+  constexpr std::uint64_t kCols = 7;
+  // Velocities uniform in [-1, 1): about 87% of the rows pass the filter.
+  std::vector<double> table(kRows * kCols);
+  Rng rng(7);
+  for (double& v : table) v = 2.0 * rng.next_double() - 1.0;
+  auto plugin = cod::compile_plugin(kZionFilter);
+  if (!plugin.is_ok()) {
+    state.SkipWithError(plugin.status().to_string().c_str());
+    return;
+  }
+  wire::DataPiece piece;
+  piece.meta =
+      adios::local_array_var("zion", serial::DataType::kDouble, {kRows, kCols});
+  piece.region = piece.meta.block;
+  piece.borrowed = as_bytes_view(std::span<const double>(table));
+  std::uint64_t kept = 0;
+  for (auto _ : state) {
+    auto out = plugin.value()(piece);
+    if (!out.is_ok()) {
+      state.SkipWithError(out.status().to_string().c_str());
+      return;
+    }
+    kept = out.value().meta.block.count[0];
+    benchmark::DoNotOptimize(out.value().payload.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["kept_rows"] = static_cast<double>(kept);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(table.size() *
+                                                    sizeof(double)));
+}
+BENCHMARK(BM_CodZionFilter)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -5,10 +5,12 @@
 // FlexIO runtime invokes when a plug-in source string arrives from the
 // peer side. The compiled plug-in sees, for each data piece:
 //   globals   n (elements), rows, cols, step-invariant shape info
-//   array     input[i]            -- the piece's payload as doubles
+//   array     input[i]            -- the piece's payload as doubles (a view
+//                                    of the piece's own bytes, borrowed or
+//                                    owned, when they are aligned doubles)
 //   builtins  emit(v)             -- append one value to the output
 //             keep_row(r)         -- append input row r (all cols values)
-//             sqrt/fabs/pow/floor/min/max
+//   math      sqrt fabs pow floor min max exp log sin cos (VM opcodes)
 // and must define `void transform()`. If transform() never emits anything
 // and never references emit/keep_row, the piece passes through unchanged
 // (annotation-only plug-ins). Local-array pieces may shrink or grow by

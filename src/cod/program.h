@@ -1,17 +1,26 @@
 // Bytecode program, execution environment, and VM for CoD-mini.
 //
 // Plug-in source is compiled once (where it lands, after travelling as a
-// string) into a small stack-machine program; executions then bind a fresh
-// Environment holding the data being conditioned (globals like n/rows/cols,
-// read-only arrays like input, and host builtins like emit/keep_row). The
-// VM enforces an instruction budget and stack limits -- mobile code from
-// the analytics side must not be able to wedge the simulation.
+// string) into register (three-address) bytecode; executions then bind a
+// fresh Environment holding the data being conditioned (globals like
+// n/rows/cols, read-only arrays like input, and host builtins like
+// emit/keep_row). The VM enforces an instruction budget, a per-frame slot
+// bound, a call-depth bound, array bounds and arithmetic-domain checks --
+// mobile code from the analytics side must not be able to wedge or crash
+// the simulation.
+//
+// Register form: every call frame owns a window of doubles laid out as
+// [slots | constants | globals]. Slots hold the function's locals and
+// expression temporaries; the constant and global sections are filled when
+// the frame is entered. An instruction operand is an index into that
+// window, so one operand names a slot, a constant or a global alike.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <map>
 #include <span>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "cod/ast.h"
@@ -19,29 +28,33 @@
 
 namespace flexio::cod {
 
+// Operand fields (a, b, c) index the current frame's window unless noted.
 enum class Op : std::uint8_t {
-  kConst,       // push imm
-  kLoadLocal,   // push locals[a]
-  kStoreLocal,  // locals[a] = pop
-  kLoadGlobal,  // push env.global(a)
-  kIndexArray,  // idx = pop; push env.array(a)[idx]
-  kAdd, kSub, kMul, kDiv, kMod,
-  kNeg, kNot,
-  kEq, kNe, kLt, kLe, kGt, kGe,
-  kJmp,          // pc = a
-  kJmpIfFalse,   // if pop()==0 pc = a
-  kCallFn,       // call function a (its arity is popped off the stack)
-  kBuiltin,      // call builtin a with b args
-  kRet,          // return pop()
+  kMov,          // a = b
+  kAdd, kSub, kMul, kDiv, kMod,  // a = b op c (kDiv/kMod trap on c == 0)
+  kNeg,          // a = -b
+  kNot,          // a = (b == 0)
+  kBool,         // a = (b != 0)
+  kEq, kNe, kLt, kLe, kGt, kGe,  // a = (b cmp c)
+  kSqrt, kFabs, kFloor, kExp, kLog, kSin, kCos,  // a = f(b)
+  kPow, kMin, kMax,                              // a = f(b, c)
+  kIndex,        // a = env.array(b)[c]  (b is an array index, not an operand)
+  kJmp,          // pc = c
+  kJz,           // if (a == 0) pc = c
+  kJnz,          // if (a != 0) pc = c
+  kJzEq, kJzNe, kJzLt, kJzLe, kJzGt, kJzGe,  // if (!(a cmp b)) pc = c
+  kCall,         // a = functions[b](slots c .. c+n-1)
+  kBuiltin,      // a = env builtin b(window c .. c+n-1)
+  kRet,          // return a
   kRetVoid,      // return 0.0
-  kPop,
 };
 
 struct Instr {
-  Op op = Op::kPop;
-  int a = 0;
-  int b = 0;
-  double imm = 0;
+  Op op = Op::kRetVoid;
+  std::uint16_t n = 0;  // argument count (kCall, kBuiltin)
+  std::int32_t a = 0;
+  std::int32_t b = 0;
+  std::int32_t c = 0;
 };
 
 /// Host-side function callable from plug-in code.
@@ -91,14 +104,17 @@ class Environment {
 
 struct CompiledFunction {
   std::string name;
-  int num_params = 0;
-  int num_locals = 0;  // includes params
+  int num_params = 0;           // the first num_params slots
+  int num_slots = 0;            // locals (params included) + temporaries
+  std::vector<double> consts;   // window[num_slots + k]
   std::vector<Instr> code;
 };
 
 struct CompiledProgram {
   std::vector<CompiledFunction> functions;
   // Names referenced from the environment, for run-time cross-checking.
+  // global_names.size() is also the size of each frame's global section
+  // (window[num_slots + consts.size() + g] holds env.global(g)).
   std::vector<std::string> global_names;
   std::vector<std::string> array_names;
   std::vector<std::string> builtin_names;
@@ -114,12 +130,13 @@ StatusOr<CompiledProgram> compile(const ProgramAst& ast,
 /// Execution limits for mobile code.
 struct VmLimits {
   std::uint64_t max_instructions = 100'000'000;
-  std::size_t max_stack = 4096;
+  std::size_t max_stack = 4096;  // slots (locals + temporaries) per frame
   std::size_t max_call_depth = 128;
 };
 
 /// Run `function` with `args`, binding `env` for globals/arrays/builtins.
-/// Returns the function's value (0.0 for void functions).
+/// Returns the function's value (0.0 for void functions). The program is
+/// only read, so one CompiledProgram may run on many threads at once.
 StatusOr<double> run(const CompiledProgram& program, std::string_view function,
                      std::span<const double> args, const Environment& env,
                      const VmLimits& limits = {});

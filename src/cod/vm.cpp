@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cmath>
 
 #include "cod/program.h"
@@ -8,9 +9,10 @@ namespace flexio::cod {
 namespace {
 
 struct Frame {
-  int fn = 0;
-  std::size_t pc = 0;
-  std::vector<double> locals;
+  const CompiledFunction* fn = nullptr;
+  const Instr* pc = nullptr;  // resume point (saved while a callee runs)
+  std::size_t base = 0;       // window start in the register file
+  std::int32_t ret_dst = 0;   // caller slot receiving this frame's result
 };
 
 Status vm_error(const std::string& what) {
@@ -55,221 +57,167 @@ StatusOr<double> run(const CompiledProgram& program, std::string_view function,
                                args.size()));
   }
 
-  std::vector<double> stack;
+  // Every global the program references, in environment order: the tail of
+  // each frame's window.
+  std::vector<double> globals(program.global_names.size());
+  for (std::size_t g = 0; g < globals.size(); ++g) {
+    globals[g] = env.global(static_cast<int>(g));
+  }
+
+  // One register file for the whole call chain; frame windows are stacked
+  // in it. Growing it may move it, so R is re-derived after calls/returns.
+  std::vector<double> regs;
   std::vector<Frame> frames;
-  frames.push_back(Frame{entry, 0, {}});
-  frames.back().locals.assign(
-      static_cast<std::size_t>(entry_fn.num_locals), 0.0);
-  std::copy(args.begin(), args.end(), frames.back().locals.begin());
+  // Opens fn's window at the top of the register file: zeroed slots, then
+  // its constants and the globals. Returns the window's start.
+  auto enter = [&](const CompiledFunction& fn,
+                   std::int32_t ret_dst) -> StatusOr<std::size_t> {
+    if (static_cast<std::size_t>(fn.num_slots) > limits.max_stack) {
+      return vm_error("value stack overflow");
+    }
+    const std::size_t base = regs.size();
+    const std::size_t slots = static_cast<std::size_t>(fn.num_slots);
+    regs.resize(base + slots + fn.consts.size() + globals.size(), 0.0);
+    double* w = regs.data() + base;
+    std::copy(fn.consts.begin(), fn.consts.end(), w + slots);
+    std::copy(globals.begin(), globals.end(), w + slots + fn.consts.size());
+    frames.push_back(Frame{&fn, fn.code.data(), base, ret_dst});
+    return base;
+  };
+  {
+    auto base = enter(entry_fn, 0);
+    if (!base.is_ok()) return base.status();
+    std::copy(args.begin(), args.end(), regs.begin());
+  }
 
   std::uint64_t executed = 0;
-  auto pop = [&stack]() {
-    const double v = stack.back();
-    stack.pop_back();
-    return v;
-  };
+  const Instr* code = entry_fn.code.data();  // the running function's
+  const Instr* pc = code;
+  double* R = regs.data();
 
   for (;;) {
     if (++executed > limits.max_instructions) {
       return vm_error("instruction budget exhausted (runaway plug-in?)");
     }
-    Frame& frame = frames.back();
-    const CompiledFunction& fn =
-        program.functions[static_cast<std::size_t>(frame.fn)];
-    FLEXIO_CHECK(frame.pc < fn.code.size());
-    const Instr instr = fn.code[frame.pc++];
-    switch (instr.op) {
-      case Op::kConst:
-        stack.push_back(instr.imm);
+    const Instr& in = *pc++;
+    switch (in.op) {
+      case Op::kMov: R[in.a] = R[in.b]; break;
+      case Op::kAdd: R[in.a] = R[in.b] + R[in.c]; break;
+      case Op::kSub: R[in.a] = R[in.b] - R[in.c]; break;
+      case Op::kMul: R[in.a] = R[in.b] * R[in.c]; break;
+      case Op::kDiv:
+        if (R[in.c] == 0.0) return vm_error("division by zero");
+        R[in.a] = R[in.b] / R[in.c];
         break;
-      case Op::kLoadLocal:
-        stack.push_back(frame.locals[static_cast<std::size_t>(instr.a)]);
+      case Op::kMod:
+        if (R[in.c] == 0.0) return vm_error("modulo by zero");
+        R[in.a] = std::fmod(R[in.b], R[in.c]);
         break;
-      case Op::kStoreLocal:
-        frame.locals[static_cast<std::size_t>(instr.a)] = pop();
+      case Op::kNeg: R[in.a] = -R[in.b]; break;
+      case Op::kNot: R[in.a] = R[in.b] == 0.0 ? 1.0 : 0.0; break;
+      case Op::kBool: R[in.a] = R[in.b] != 0.0 ? 1.0 : 0.0; break;
+      case Op::kEq: R[in.a] = R[in.b] == R[in.c] ? 1.0 : 0.0; break;
+      case Op::kNe: R[in.a] = R[in.b] != R[in.c] ? 1.0 : 0.0; break;
+      case Op::kLt: R[in.a] = R[in.b] < R[in.c] ? 1.0 : 0.0; break;
+      case Op::kLe: R[in.a] = R[in.b] <= R[in.c] ? 1.0 : 0.0; break;
+      case Op::kGt: R[in.a] = R[in.b] > R[in.c] ? 1.0 : 0.0; break;
+      case Op::kGe: R[in.a] = R[in.b] >= R[in.c] ? 1.0 : 0.0; break;
+      case Op::kSqrt: R[in.a] = std::sqrt(R[in.b]); break;
+      case Op::kFabs: R[in.a] = std::fabs(R[in.b]); break;
+      case Op::kFloor: R[in.a] = std::floor(R[in.b]); break;
+      case Op::kExp: R[in.a] = std::exp(R[in.b]); break;
+      case Op::kLog:
+        if (R[in.b] <= 0) {
+          return make_error(ErrorCode::kInvalidArgument, "log of non-positive");
+        }
+        R[in.a] = std::log(R[in.b]);
         break;
-      case Op::kLoadGlobal:
-        stack.push_back(env.global(instr.a));
-        break;
-      case Op::kIndexArray: {
-        const double idx = pop();
-        const auto arr = env.array(instr.a);
-        const auto i = static_cast<std::int64_t>(idx);
-        if (i < 0 || static_cast<std::size_t>(i) >= arr.size()) {
-          return vm_error(str_format("index %lld out of bounds for %s[%zu]",
-                                     static_cast<long long>(i),
-                                     env.array_name(instr.a).c_str(),
+      case Op::kSin: R[in.a] = std::sin(R[in.b]); break;
+      case Op::kCos: R[in.a] = std::cos(R[in.b]); break;
+      case Op::kPow: R[in.a] = std::pow(R[in.b], R[in.c]); break;
+      case Op::kMin: R[in.a] = std::min(R[in.b], R[in.c]); break;
+      case Op::kMax: R[in.a] = std::max(R[in.b], R[in.c]); break;
+      case Op::kIndex: {
+        const std::span<const double> arr = env.array(in.b);
+        const double idx = R[in.c];
+        // Range-check the double before converting: the index truncates
+        // toward zero, so (-1, size) of a non-empty array is exactly the
+        // valid range, and NaN or a huge value never reaches the
+        // (otherwise undefined) cast.
+        if (!(idx > -1.0 && idx < static_cast<double>(arr.size())) ||
+            arr.empty()) {
+          return vm_error(str_format("index %g out of bounds for %s[%zu]", idx,
+                                     env.array_name(in.b).c_str(),
                                      arr.size()));
         }
-        stack.push_back(arr[static_cast<std::size_t>(i)]);
+        R[in.a] = arr[static_cast<std::size_t>(idx)];
         break;
       }
-      case Op::kAdd: { const double b = pop(); stack.back() += b; break; }
-      case Op::kSub: { const double b = pop(); stack.back() -= b; break; }
-      case Op::kMul: { const double b = pop(); stack.back() *= b; break; }
-      case Op::kDiv: {
-        const double b = pop();
-        if (b == 0.0) return vm_error("division by zero");
-        stack.back() /= b;
+      case Op::kJmp: pc = code + in.c; break;
+      case Op::kJz:
+        if (R[in.a] == 0.0) pc = code + in.c;
         break;
-      }
-      case Op::kMod: {
-        const double b = pop();
-        if (b == 0.0) return vm_error("modulo by zero");
-        stack.back() = std::fmod(stack.back(), b);
+      case Op::kJnz:
+        if (R[in.a] != 0.0) pc = code + in.c;
         break;
-      }
-      case Op::kNeg: stack.back() = -stack.back(); break;
-      case Op::kNot: stack.back() = stack.back() == 0.0 ? 1.0 : 0.0; break;
-      case Op::kEq: { const double b = pop(); stack.back() = stack.back() == b; break; }
-      case Op::kNe: { const double b = pop(); stack.back() = stack.back() != b; break; }
-      case Op::kLt: { const double b = pop(); stack.back() = stack.back() < b; break; }
-      case Op::kLe: { const double b = pop(); stack.back() = stack.back() <= b; break; }
-      case Op::kGt: { const double b = pop(); stack.back() = stack.back() > b; break; }
-      case Op::kGe: { const double b = pop(); stack.back() = stack.back() >= b; break; }
-      case Op::kJmp:
-        frame.pc = static_cast<std::size_t>(instr.a);
+      case Op::kJzEq:
+        if (!(R[in.a] == R[in.b])) pc = code + in.c;
         break;
-      case Op::kJmpIfFalse:
-        if (pop() == 0.0) frame.pc = static_cast<std::size_t>(instr.a);
+      case Op::kJzNe:
+        if (!(R[in.a] != R[in.b])) pc = code + in.c;
         break;
-      case Op::kCallFn: {
+      case Op::kJzLt:
+        if (!(R[in.a] < R[in.b])) pc = code + in.c;
+        break;
+      case Op::kJzLe:
+        if (!(R[in.a] <= R[in.b])) pc = code + in.c;
+        break;
+      case Op::kJzGt:
+        if (!(R[in.a] > R[in.b])) pc = code + in.c;
+        break;
+      case Op::kJzGe:
+        if (!(R[in.a] >= R[in.b])) pc = code + in.c;
+        break;
+      case Op::kCall: {
         if (frames.size() >= limits.max_call_depth) {
           return vm_error("call depth exceeded");
         }
-        const auto& callee =
-            program.functions[static_cast<std::size_t>(instr.a)];
-        Frame next;
-        next.fn = instr.a;
-        next.locals.assign(static_cast<std::size_t>(callee.num_locals), 0.0);
-        for (int i = instr.b - 1; i >= 0; --i) {
-          next.locals[static_cast<std::size_t>(i)] = pop();
-        }
-        frames.push_back(std::move(next));
+        frames.back().pc = pc;
+        const std::size_t argv = frames.back().base +
+                                 static_cast<std::size_t>(in.c);
+        const CompiledFunction& callee =
+            program.functions[static_cast<std::size_t>(in.b)];
+        auto base = enter(callee, in.a);
+        if (!base.is_ok()) return base.status();
+        // Arguments move after the resize: the register file may have moved.
+        std::copy_n(regs.begin() + static_cast<std::ptrdiff_t>(argv), in.n,
+                    regs.begin() + static_cast<std::ptrdiff_t>(base.value()));
+        code = pc = callee.code.data();
+        R = regs.data() + base.value();
         break;
       }
       case Op::kBuiltin: {
-        const auto nargs = static_cast<std::size_t>(instr.b);
-        FLEXIO_CHECK(stack.size() >= nargs);
-        const std::span<const double> call_args(stack.data() + stack.size() -
-                                                    nargs,
-                                                nargs);
-        auto result = env.call_builtin(instr.a, call_args);
+        auto result = env.call_builtin(
+            in.b, std::span<const double>(R + in.c, in.n));
         if (!result.is_ok()) return result.status();
-        stack.resize(stack.size() - nargs);
-        stack.push_back(result.value());
+        R[in.a] = result.value();
         break;
       }
       case Op::kRet:
       case Op::kRetVoid: {
-        const double value = instr.op == Op::kRet ? pop() : 0.0;
+        const double value = in.op == Op::kRet ? R[in.a] : 0.0;
+        const Frame done = frames.back();
         frames.pop_back();
         if (frames.empty()) return value;
-        stack.push_back(value);
+        regs.resize(done.base);
+        code = frames.back().fn->code.data();
+        pc = frames.back().pc;
+        R = regs.data() + frames.back().base;
+        R[done.ret_dst] = value;
         break;
       }
-      case Op::kPop:
-        pop();
-        break;
-    }
-    if (stack.size() > limits.max_stack) {
-      return vm_error("value stack overflow");
     }
   }
-}
-
-namespace {
-
-const char* op_name(Op op) {
-  switch (op) {
-    case Op::kConst: return "const";
-    case Op::kLoadLocal: return "load";
-    case Op::kStoreLocal: return "store";
-    case Op::kLoadGlobal: return "global";
-    case Op::kIndexArray: return "index";
-    case Op::kAdd: return "add";
-    case Op::kSub: return "sub";
-    case Op::kMul: return "mul";
-    case Op::kDiv: return "div";
-    case Op::kMod: return "mod";
-    case Op::kNeg: return "neg";
-    case Op::kNot: return "not";
-    case Op::kEq: return "eq";
-    case Op::kNe: return "ne";
-    case Op::kLt: return "lt";
-    case Op::kLe: return "le";
-    case Op::kGt: return "gt";
-    case Op::kGe: return "ge";
-    case Op::kJmp: return "jmp";
-    case Op::kJmpIfFalse: return "jz";
-    case Op::kCallFn: return "call";
-    case Op::kBuiltin: return "builtin";
-    case Op::kRet: return "ret";
-    case Op::kRetVoid: return "retv";
-    case Op::kPop: return "pop";
-  }
-  return "?";
-}
-
-}  // namespace
-
-std::string disassemble(const CompiledProgram& program) {
-  std::string out;
-  for (const CompiledFunction& fn : program.functions) {
-    out += str_format("%s (params=%d, locals=%d):\n", fn.name.c_str(),
-                      fn.num_params, fn.num_locals);
-    for (std::size_t pc = 0; pc < fn.code.size(); ++pc) {
-      const Instr& instr = fn.code[pc];
-      switch (instr.op) {
-        case Op::kConst:
-          out += str_format("  %4zu  %-8s %g\n", pc, op_name(instr.op),
-                            instr.imm);
-          break;
-        case Op::kLoadLocal:
-        case Op::kStoreLocal:
-        case Op::kJmp:
-        case Op::kJmpIfFalse:
-          out += str_format("  %4zu  %-8s %d\n", pc, op_name(instr.op),
-                            instr.a);
-          break;
-        case Op::kLoadGlobal:
-          out += str_format(
-              "  %4zu  %-8s %s\n", pc, op_name(instr.op),
-              instr.a < static_cast<int>(program.global_names.size())
-                  ? program.global_names[static_cast<std::size_t>(instr.a)]
-                        .c_str()
-                  : "?");
-          break;
-        case Op::kIndexArray:
-          out += str_format(
-              "  %4zu  %-8s %s\n", pc, op_name(instr.op),
-              instr.a < static_cast<int>(program.array_names.size())
-                  ? program.array_names[static_cast<std::size_t>(instr.a)]
-                        .c_str()
-                  : "?");
-          break;
-        case Op::kCallFn:
-          out += str_format(
-              "  %4zu  %-8s %s/%d\n", pc, op_name(instr.op),
-              program.functions[static_cast<std::size_t>(instr.a)].name.c_str(),
-              instr.b);
-          break;
-        case Op::kBuiltin:
-          out += str_format(
-              "  %4zu  %-8s %s/%d\n", pc, op_name(instr.op),
-              instr.a < static_cast<int>(program.builtin_names.size())
-                  ? program.builtin_names[static_cast<std::size_t>(instr.a)]
-                        .c_str()
-                  : "?",
-              instr.b);
-          break;
-        default:
-          out += str_format("  %4zu  %-8s\n", pc, op_name(instr.op));
-          break;
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace flexio::cod

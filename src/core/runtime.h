@@ -27,7 +27,9 @@ class StreamWriter;
 class StreamReader;
 
 /// A compiled Data Conditioning plug-in: transforms one data piece on the
-/// fly (selection, sampling, unit conversion, markup...).
+/// fly (selection, sampling, unit conversion, markup...). The input may
+/// borrow its payload (the writer's buffered block is not copied for the
+/// plug-in), so plug-ins read it through `DataPiece::bytes()`.
 using PluginFn =
     std::function<StatusOr<wire::DataPiece>(const wire::DataPiece&)>;
 

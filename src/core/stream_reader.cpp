@@ -60,6 +60,12 @@ metrics::Histogram& step_unpack_critical_hist() {
       metrics::histogram("flexio.step.unpack.critical.ns");
   return h;
 }
+// Reader-side DC plug-in time per step (placement tasks, summed); the
+// writer records its pack-task plug-in time into the same histogram.
+metrics::Histogram& step_plugin_hist() {
+  static metrics::Histogram& h = metrics::histogram("flexio.step.plugin.ns");
+  return h;
+}
 metrics::Histogram& step_total_hist() {
   static metrics::Histogram& h = metrics::histogram("flexio.step.total.ns");
   return h;
@@ -760,13 +766,20 @@ Status StreamReader::migrate_plugin(const std::string& var,
 }
 
 Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
-                                 std::vector<PgBlock>* pg_out) {
+                                 std::vector<PgBlock>* pg_out,
+                                 std::uint64_t* plugin_ns) {
+  const auto plug = reader_plugins_.find(piece.meta.name);
+  auto run_plugin = [&]() {
+    const std::uint64_t t0 = metrics::now_ns();
+    auto transformed = plug->second(piece);
+    *plugin_ns += metrics::now_ns() - t0;
+    return transformed;
+  };
   if (piece.meta.shape == adios::ShapeKind::kLocalArray) {
     PgBlock block;
     block.writer_rank = writer_rank;
-    const auto plug = reader_plugins_.find(piece.meta.name);
     if (plug != reader_plugins_.end()) {
-      auto transformed = plug->second(piece);
+      auto transformed = run_plugin();
       if (!transformed.is_ok()) return transformed.status();
       block.meta = transformed.value().meta;
       block.payload = std::move(transformed.value().payload);
@@ -781,9 +794,8 @@ Status StreamReader::place_piece(wire::DataPiece piece, int writer_rank,
   // read (normally exactly one).
   const wire::DataPiece* effective = &piece;
   wire::DataPiece transformed_storage;
-  const auto plug = reader_plugins_.find(piece.meta.name);
   if (plug != reader_plugins_.end()) {
-    auto transformed = plug->second(piece);
+    auto transformed = run_plugin();
     if (!transformed.is_ok()) return transformed.status();
     transformed_storage = std::move(transformed).value();
     if (transformed_storage.payload.size() != piece.payload.size()) {
@@ -1071,6 +1083,13 @@ Status StreamReader::perform_reads_stream() {
   // one bad piece must not suppress its siblings' placement.
   const std::size_t n_matched = matched.size();
   std::vector<std::uint64_t> task_ns(n_matched, 0);
+  std::vector<std::uint64_t> plugin_ns(n_matched, 0);
+  std::size_t plugin_pieces = 0;
+  if (!reader_plugins_.empty()) {
+    for (const auto& m : matched) {
+      plugin_pieces += reader_plugins_.count(m.piece.meta.name);
+    }
+  }
   Status placed = Status::ok();
   if (read_pool_ != nullptr && n_matched > 1) {
     std::vector<std::vector<PgBlock>> pg_slots(n_matched);
@@ -1081,13 +1100,14 @@ Status StreamReader::perform_reads_stream() {
     tasks.reserve(n_matched);
     for (std::size_t i = 0; i < n_matched; ++i) {
       tasks.push_back(
-          [this, tctx, &matched, &pg_slots, &task_ns, i]() -> Status {
+          [this, tctx, &matched, &pg_slots, &task_ns, &plugin_ns,
+           i]() -> Status {
             trace::TaskScope task_identity(tctx);
             trace::Span task_span("reader.unpack_task");
             const std::uint64_t t0 = metrics::now_ns();
             const Status st = place_piece(std::move(matched[i].piece),
                                           matched[i].writer_rank,
-                                          &pg_slots[i]);
+                                          &pg_slots[i], &plugin_ns[i]);
             task_ns[i] = metrics::now_ns() - t0;
             return st;
           });
@@ -1101,7 +1121,8 @@ Status StreamReader::perform_reads_stream() {
     for (std::size_t i = 0; i < n_matched; ++i) {
       const std::uint64_t t0 = metrics::now_ns();
       const Status st = place_piece(std::move(matched[i].piece),
-                                    matched[i].writer_rank, &pg_blocks_);
+                                    matched[i].writer_rank, &pg_blocks_,
+                                    &plugin_ns[i]);
       task_ns[i] = metrics::now_ns() - t0;
       if (placed.is_ok()) placed = st;
     }
@@ -1126,6 +1147,11 @@ Status StreamReader::perform_reads_stream() {
   step_transfer_hist().record(transfer_ns);
   step_unpack_hist().record(unpack_ns);
   step_unpack_critical_hist().record(unpack_max);
+  if (plugin_pieces > 0) {
+    std::uint64_t plugin_sum = 0;
+    for (const std::uint64_t t_ns : plugin_ns) plugin_sum += t_ns;
+    step_plugin_hist().record(plugin_sum);
+  }
   if (have_announce_ctx_ && announce_ctx_.step == step_) {
     const std::uint64_t now = metrics::now_ns();
     const std::uint64_t total =

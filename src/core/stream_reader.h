@@ -162,9 +162,10 @@ class StreamReader {
   /// concurrently for distinct pieces (DESIGN.md "Parallel unpack"):
   /// expected pieces cover disjoint regions, pending_reads_ /
   /// reader_plugins_ are read-only while a step's batch is in flight, and
-  /// each task gets its own pg_out slot.
+  /// each task gets its own pg_out slot. Plug-in time is added to
+  /// *plugin_ns (the task's own slot).
   Status place_piece(wire::DataPiece piece, int writer_rank,
-                     std::vector<PgBlock>* pg_out);
+                     std::vector<PgBlock>* pg_out, std::uint64_t* plugin_ns);
   /// Record a just-decoded data message's trace context: a clock sample
   /// for offset estimation plus its transfer latency, accumulated per step
   /// (a message may be decoded and stashed before its step opens).

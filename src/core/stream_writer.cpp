@@ -66,6 +66,13 @@ metrics::Histogram& step_pack_critical_hist() {
       metrics::histogram("flexio.step.pack.critical.ns");
   return h;
 }
+// DC plug-in execution inside the pack tasks, summed over the step's
+// pieces; recorded only for steps that ran a plug-in. Reader-side plug-ins
+// record into the same histogram from placement.
+metrics::Histogram& step_plugin_hist() {
+  static metrics::Histogram& h = metrics::histogram("flexio.step.plugin.ns");
+  return h;
+}
 
 // Adds the scope's wall time to a Stats field. Not gated by
 // FLEXIO_METRICS: the close report must not depend on the registry. Reads
@@ -552,6 +559,7 @@ Status StreamWriter::send_pieces() {
     sum.bytes_sent += t.bytes_sent;
     sum.msgs_sent += t.msgs_sent;
     sum.plugin_pieces += t.plugin_pieces;
+    sum.plugin_ns += t.plugin_ns;
     if (t.pack_ns > pack_max) pack_max = t.pack_ns;
   }
   stats_.bytes_sent += sum.bytes_sent;
@@ -561,6 +569,7 @@ Status StreamWriter::send_pieces() {
   step_pack_hist().record(sum.pack_ns);
   step_pack_critical_hist().record(pack_max);
   step_enqueue_hist().record(sum.enqueue_ns);
+  if (sum.plugin_pieces > 0) step_plugin_hist().record(sum.plugin_ns);
   stats_.pack_ns += sum.pack_ns;
   stats_.enqueue_ns += sum.enqueue_ns;
   return Status::ok();
@@ -597,12 +606,14 @@ Status StreamWriter::send_to_reader(const ReaderWork& work,
       tally->pack_ns += metrics::now_ns() - pack_start;
     }
     // Writer-side DC plug-in, if deployed against this variable. Plug-ins
-    // may run concurrently against different pieces; they transform their
-    // input and must not mutate shared state (DESIGN.md "Parallel pack").
+    // may run concurrently against different pieces; they read their input
+    // (a borrowed block is read in place) and must not mutate shared state
+    // (DESIGN.md "Parallel pack").
     const auto plug = plugins_.find(p.var);
     if (plug != plugins_.end()) {
-      piece.materialize();  // plug-ins consume owned payload bytes
+      const std::uint64_t plugin_start = metrics::now_ns();
       auto transformed = plug->second(piece);
+      tally->plugin_ns += metrics::now_ns() - plugin_start;
       if (!transformed.is_ok()) return transformed.status();
       piece = std::move(transformed).value();
       ++tally->plugin_pieces;

@@ -106,6 +106,7 @@ class StreamWriter {
     std::uint64_t bytes_sent = 0;
     std::uint64_t msgs_sent = 0;
     std::uint64_t plugin_pieces = 0;
+    std::uint64_t plugin_ns = 0;
   };
   Status send_to_reader(const ReaderWork& work, TaskTally* tally);
   void rebuild_send_plan();

@@ -144,14 +144,6 @@ struct DataPiece {
   ByteView bytes() const {
     return borrowed.empty() ? ByteView(payload) : borrowed;
   }
-
-  /// Copy a borrowed payload into owned storage (needed before handing the
-  /// piece to code that mutates or outlives the borrowed buffer).
-  void materialize() {
-    if (borrowed.empty()) return;
-    payload.assign(borrowed.begin(), borrowed.end());
-    borrowed = {};
-  }
 };
 
 /// Writer rank -> reader rank. One piece per message without batching;

@@ -2,7 +2,9 @@
 // adapter over stream data pieces.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <thread>
 
 #include "cod/lexer.h"
 #include "cod/parser.h"
@@ -10,7 +12,8 @@
 #include "cod/program.h"
 #include "core/stream_reader.h"
 #include "core/stream_writer.h"
-#include <thread>
+#include "util/metrics.h"
+#include "util/rng.h"
 
 namespace flexio::cod {
 namespace {
@@ -264,8 +267,8 @@ wire::DataPiece particle_piece(std::vector<double> values, std::uint64_t cols) {
   const std::uint64_t rows = values.size() / cols;
   piece.meta = adios::local_array_var("zion", DataType::kDouble, {rows, cols});
   piece.region = piece.meta.block;
-  piece.payload.resize(values.size() * sizeof(double));
-  std::memcpy(piece.payload.data(), values.data(), piece.payload.size());
+  const auto bytes = std::as_bytes(std::span<const double>(values));
+  piece.payload.assign(bytes.begin(), bytes.end());
   return piece;
 }
 
@@ -514,6 +517,480 @@ TEST(PluginTest, CompilerFactoryMatchesRuntimeHook) {
   auto out = fn.value()(particle_piece({7, 8, 9, 10}, 2));
   ASSERT_TRUE(out.is_ok());
   EXPECT_EQ(piece_values(out.value()), (std::vector<double>{7, 8}));
+}
+
+// --------------------------------------------------------------- guards --
+
+/// The error message of a run expected to fail ("" if it succeeded).
+std::string failure(const StatusOr<double>& result) {
+  return result.is_ok() ? std::string() : result.status().message();
+}
+std::string failure(const StatusOr<wire::DataPiece>& result) {
+  return result.is_ok() ? std::string() : result.status().message();
+}
+
+TEST(VmGuardTest, EveryGuardFiresWithItsMessage) {
+  std::vector<double> data{1, 2};
+  Environment env;
+  env.add_array("input", std::span<const double>(data));
+  auto run_env = [&env](const std::string& src,
+                        const VmLimits& limits = {}) {
+    return eval(src, "f", {}, &env, limits);
+  };
+  VmLimits budget;
+  budget.max_instructions = 1000;
+  EXPECT_EQ(failure(run_env("void f() { while (1) {} }", budget)),
+            "cod vm: instruction budget exhausted (runaway plug-in?)");
+  EXPECT_EQ(failure(run_env("double f() { return input[5]; }")),
+            "cod vm: index 5 out of bounds for input[2]");
+  EXPECT_EQ(failure(run_env("double f() { return input[-1]; }")),
+            "cod vm: index -1 out of bounds for input[2]");
+  EXPECT_EQ(failure(run_env("double f() { double z = 0; return 1 / z; }")),
+            "cod vm: division by zero");
+  EXPECT_EQ(failure(run_env("double f() { double z = 0; return 1 % z; }")),
+            "cod vm: modulo by zero");
+  EXPECT_EQ(failure(run_env("double f() { return log(0); }")),
+            "log of non-positive");
+  EXPECT_EQ(failure(run_env("double f() { return log(-2); }")),
+            "log of non-positive");
+  EXPECT_EQ(failure(run_env("double f() { return f(); }")),
+            "cod vm: call depth exceeded");
+  // In-range fractional indices truncate toward zero, as before.
+  EXPECT_DOUBLE_EQ(run_env("double f() { return input[1.9]; }").value(), 2);
+  EXPECT_DOUBLE_EQ(run_env("double f() { return input[-0.5]; }").value(), 1);
+}
+
+TEST(VmGuardTest, FrameSlotBoundStopsDeepExpressions) {
+  // Each nesting level keeps its left operand live while the right side
+  // evaluates, so the frame needs one slot per level.
+  std::string expr = "a";
+  for (int i = 0; i < 40; ++i) expr = "a * a + (" + expr + ")";
+  const std::string src = "double f(double a) { return " + expr + "; }";
+  VmLimits small;
+  small.max_stack = 16;
+  EXPECT_EQ(failure(eval(src, "f", {1}, nullptr, small)),
+            "cod vm: value stack overflow");
+  // The same program runs under the default bound.
+  EXPECT_DOUBLE_EQ(eval(src, "f", {1}).value(), 41);
+}
+
+TEST(VmGuardTest, NonFiniteAndHugeIndicesAreOutOfBounds) {
+  // The index is range-checked as a double: NaN and values far outside
+  // int64 must be reported, never converted.
+  std::vector<double> data{1, 2};
+  Environment env;
+  env.add_array("input", std::span<const double>(data));
+  EXPECT_EQ(failure(eval("double f() { return input[sqrt(-1)]; }", "f", {},
+                         &env)).find("cod vm: index"),
+            0u);
+  EXPECT_NE(failure(eval("double f() { return input[sqrt(-1)]; }", "f", {},
+                         &env)).find("out of bounds for input[2]"),
+            std::string::npos);
+  EXPECT_EQ(failure(eval("double f() { return input[1e300]; }", "f", {},
+                         &env)),
+            "cod vm: index 1e+300 out of bounds for input[2]");
+  EXPECT_EQ(failure(eval("double f() { return input[-1e300]; }", "f", {},
+                         &env)),
+            "cod vm: index -1e+300 out of bounds for input[2]");
+
+  auto plugin = compile_plugin("void transform() { keep_row(1e300); }");
+  ASSERT_TRUE(plugin.is_ok());
+  EXPECT_EQ(failure(plugin.value()(particle_piece({1, 2, 3, 4}, 2))),
+            "keep_row out of bounds");
+  auto nan_row = compile_plugin("void transform() { keep_row(sqrt(-1)); }");
+  ASSERT_TRUE(nan_row.is_ok());
+  EXPECT_EQ(failure(nan_row.value()(particle_piece({1, 2, 3, 4}, 2))),
+            "keep_row out of bounds");
+  // A fraction just above -1 truncates to row 0, which an empty piece
+  // does not have.
+  auto near_zero = compile_plugin("void transform() { keep_row(-0.5); }");
+  ASSERT_TRUE(near_zero.is_ok());
+  EXPECT_EQ(failure(near_zero.value()(particle_piece({}, 2))),
+            "keep_row out of bounds");
+  EXPECT_EQ(piece_values(near_zero.value()(particle_piece({7, 8}, 2)).value()),
+            (std::vector<double>{7, 8}));
+  Environment empty_env;
+  empty_env.add_array("input", std::span<const double>());
+  EXPECT_EQ(failure(eval("double f() { return input[-0.5]; }", "f", {},
+                         &empty_env)),
+            "cod vm: index -0.5 out of bounds for input[0]");
+  auto last_row = compile_plugin("void transform() { keep_row(rows); }");
+  ASSERT_TRUE(last_row.is_ok());
+  EXPECT_EQ(failure(last_row.value()(particle_piece({1, 2, 3, 4}, 2))),
+            "keep_row out of bounds");
+}
+
+TEST(PluginGuardTest, ShapeErrorsStillFire) {
+  auto one = compile_plugin("void transform() { emit(1.0); }");
+  ASSERT_TRUE(one.is_ok());
+  EXPECT_EQ(failure(one.value()(particle_piece({1, 2, 3, 4}, 2))),
+            "plug-in emitted a partial row");
+  wire::DataPiece global;
+  global.meta = adios::global_array_var("T", DataType::kDouble, {4},
+                                        adios::Box{{0}, {4}});
+  global.region = global.meta.block;
+  global.payload.resize(4 * sizeof(double));
+  EXPECT_EQ(failure(one.value()(global)),
+            "plug-ins on global arrays must preserve the element count");
+}
+
+// ------------------------------------------------------ payload binding --
+
+const char* kThresholdFilter = R"(
+  void transform() {
+    int r;
+    for (r = 0; r < rows; r = r + 1) {
+      if (input[r * cols + 1] > 10.0) keep_row(r);
+    }
+  })";
+
+TEST(PluginBindingTest, BorrowedPayloadIsReadInPlace) {
+  auto plugin = compile_plugin(kThresholdFilter);
+  ASSERT_TRUE(plugin.is_ok());
+  const std::vector<double> values{1, 5, 2, 15, 3, 25};
+  wire::DataPiece piece;
+  piece.meta = adios::local_array_var("zion", DataType::kDouble, {3, 2});
+  piece.region = piece.meta.block;
+  piece.borrowed = as_bytes_view(std::span<const double>(values));
+  auto out = plugin.value()(piece);
+  ASSERT_TRUE(out.is_ok()) << out.status().to_string();
+  EXPECT_TRUE(piece.payload.empty());  // never materialized
+  EXPECT_TRUE(out.value().borrowed.empty());
+  EXPECT_EQ(out.value().meta.block.count[0], 2u);
+  EXPECT_EQ(piece_values(out.value()), (std::vector<double>{2, 15, 3, 25}));
+}
+
+TEST(PluginBindingTest, MisalignedDoublePayloadConverts) {
+  auto plugin = compile_plugin(kThresholdFilter);
+  ASSERT_TRUE(plugin.is_ok());
+  const std::vector<double> values{1, 5, 2, 15, 3, 25};
+  // The payload starts one byte into an aligned buffer.
+  std::vector<std::byte> buffer(values.size() * sizeof(double) + 1);
+  std::memcpy(buffer.data() + 1, values.data(), values.size() * sizeof(double));
+  wire::DataPiece piece;
+  piece.meta = adios::local_array_var("zion", DataType::kDouble, {3, 2});
+  piece.region = piece.meta.block;
+  piece.borrowed = ByteView(buffer.data() + 1, values.size() * sizeof(double));
+  auto out = plugin.value()(piece);
+  ASSERT_TRUE(out.is_ok()) << out.status().to_string();
+  EXPECT_EQ(piece_values(out.value()), (std::vector<double>{2, 15, 3, 25}));
+}
+
+template <typename T>
+wire::DataPiece typed_piece(const std::vector<T>& values, DataType type,
+                            std::uint64_t cols) {
+  wire::DataPiece piece;
+  piece.meta = adios::local_array_var("v", type, {values.size() / cols, cols});
+  piece.region = piece.meta.block;
+  piece.payload.resize(values.size() * sizeof(T));
+  std::memcpy(piece.payload.data(), values.data(), piece.payload.size());
+  return piece;
+}
+
+template <typename T>
+std::vector<T> typed_values(const wire::DataPiece& piece) {
+  std::vector<T> out(piece.bytes().size() / sizeof(T));
+  std::memcpy(out.data(), piece.bytes().data(), out.size() * sizeof(T));
+  return out;
+}
+
+TEST(PluginBindingTest, FloatInt32Int64PayloadsRoundTrip) {
+  auto filter = compile_plugin(kThresholdFilter);
+  ASSERT_TRUE(filter.is_ok());
+  auto doubled = compile_plugin(R"(
+    void transform() {
+      int i;
+      for (i = 0; i < n; i = i + 1) emit(input[i] * 2);
+    })");
+  ASSERT_TRUE(doubled.is_ok());
+
+  const std::vector<float> f{1.5f, 5, 2.25f, 15, 3.125f, 25};
+  auto fo = filter.value()(typed_piece(f, DataType::kFloat, 2));
+  ASSERT_TRUE(fo.is_ok()) << fo.status().to_string();
+  EXPECT_EQ(fo.value().meta.type, DataType::kFloat);
+  EXPECT_EQ(typed_values<float>(fo.value()),
+            (std::vector<float>{2.25f, 15, 3.125f, 25}));
+
+  const std::vector<std::int32_t> i32{1, 11, 2, 12, 3, 9};
+  auto io = filter.value()(typed_piece(i32, DataType::kInt32, 2));
+  ASSERT_TRUE(io.is_ok()) << io.status().to_string();
+  EXPECT_EQ(typed_values<std::int32_t>(io.value()),
+            (std::vector<std::int32_t>{1, 11, 2, 12}));
+
+  const std::vector<std::int64_t> i64{-7, 0, 1LL << 40, 3};
+  auto lo = doubled.value()(typed_piece(i64, DataType::kInt64, 1));
+  ASSERT_TRUE(lo.is_ok()) << lo.status().to_string();
+  EXPECT_EQ(typed_values<std::int64_t>(lo.value()),
+            (std::vector<std::int64_t>{-14, 0, 1LL << 41, 6}));
+  auto fd = doubled.value()(typed_piece(f, DataType::kFloat, 1));
+  ASSERT_TRUE(fd.is_ok());
+  EXPECT_EQ(typed_values<float>(fd.value()),
+            (std::vector<float>{3, 10, 4.5f, 30, 6.25f, 50}));
+}
+
+// ---------------------------------------------- C++ reference, bytewise --
+
+// The zion filter of the GTS helper pipeline (stepbench, gts_pipeline).
+const char* kZionFilter = R"(
+  void transform() {
+    int r;
+    for (r = 0; r < rows; r = r + 1) {
+      double vpar = input[r * cols + 3];
+      double vperp = input[r * cols + 4];
+      if (sqrt(vpar*vpar + vperp*vperp) > 0.4)
+        keep_row(r);
+    }
+  })";
+
+std::vector<double> zion_reference(const std::vector<double>& table,
+                                   std::size_t cols) {
+  std::vector<double> kept;
+  for (std::size_t r = 0; r + cols <= table.size(); r += cols) {
+    const double vpar = table[r + 3];
+    const double vperp = table[r + 4];
+    if (std::sqrt(vpar * vpar + vperp * vperp) > 0.4) {
+      kept.insert(kept.end(), table.begin() + static_cast<std::ptrdiff_t>(r),
+                  table.begin() + static_cast<std::ptrdiff_t>(r + cols));
+    }
+  }
+  return kept;
+}
+
+// Expressions whose rounding depends on operation order: the VM must
+// evaluate them exactly as written (no reassociation, no contraction).
+const char* kExpressions = R"(
+  void transform() {
+    int i;
+    for (i = 0; i + 2 < n; i = i + 3) {
+      double a = input[i];
+      double b = input[i + 1];
+      double c = input[i + 2];
+      emit(a * b + c);
+      emit(a + b + c - a * 1e-3);
+      emit((a - b) / (fabs(c) + 1.5) % 0.7);
+      emit(pow(fabs(a), 1.5) + sqrt(fabs(b)) * -c);
+      emit(max(min(a, b), c) + floor(c * 10) + exp(b) * sin(a) - cos(c));
+      if (a < b && !(c >= 0) || a == b) emit(log(fabs(a) + 1)); else emit(-b);
+    }
+  })";
+
+std::vector<double> expressions_reference(const std::vector<double>& v) {
+  std::vector<double> out;
+  for (std::size_t i = 0; i + 2 < v.size(); i += 3) {
+    const double a = v[i], b = v[i + 1], c = v[i + 2];
+    out.push_back(a * b + c);
+    out.push_back(a + b + c - a * 1e-3);
+    out.push_back(std::fmod((a - b) / (std::fabs(c) + 1.5), 0.7));
+    out.push_back(std::pow(std::fabs(a), 1.5) + std::sqrt(std::fabs(b)) * -c);
+    out.push_back(std::max(std::min(a, b), c) + std::floor(c * 10) +
+                  std::exp(b) * std::sin(a) - std::cos(c));
+    if ((a < b && !(c >= 0)) || a == b) {
+      out.push_back(std::log(std::fabs(a) + 1));
+    } else {
+      out.push_back(-b);
+    }
+  }
+  return out;
+}
+
+std::vector<double> random_table(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  std::vector<double> v(n);
+  for (double& x : v) x = 2.0 * rng.next_double() - 1.0;
+  return v;
+}
+
+std::vector<std::byte> bytes_of(const std::vector<double>& v) {
+  std::vector<std::byte> out(v.size() * sizeof(double));
+  std::memcpy(out.data(), v.data(), out.size());
+  return out;
+}
+
+TEST(CodReferenceTest, MatchesCppReplayByteForByte) {
+  auto zion = compile_plugin(kZionFilter);
+  ASSERT_TRUE(zion.is_ok()) << zion.status().to_string();
+  auto exprs = compile_plugin(kExpressions);
+  ASSERT_TRUE(exprs.is_ok()) << exprs.status().to_string();
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    constexpr std::size_t kCols = 7;
+    const std::vector<double> table = random_table(seed, 2000 * kCols);
+    wire::DataPiece piece;
+    piece.meta = adios::local_array_var("zion", DataType::kDouble,
+                                        {table.size() / kCols, kCols});
+    piece.region = piece.meta.block;
+    piece.borrowed = as_bytes_view(std::span<const double>(table));
+    auto kept = zion.value()(piece);
+    ASSERT_TRUE(kept.is_ok()) << kept.status().to_string();
+    const std::vector<double> want = zion_reference(table, kCols);
+    ASSERT_GT(want.size(), 0u);
+    EXPECT_EQ(kept.value().payload, bytes_of(want));
+    EXPECT_EQ(kept.value().meta.block.count[0], want.size() / kCols);
+
+    const std::vector<double> flat = random_table(seed + 100, 3 * 500);
+    auto values = exprs.value()(particle_piece(flat, 1));
+    ASSERT_TRUE(values.is_ok()) << values.status().to_string();
+    EXPECT_EQ(values.value().payload, bytes_of(expressions_reference(flat)));
+  }
+}
+
+// ---------------------------------------------------------- concurrency --
+
+TEST(PluginConcurrencyTest, OneCompiledPluginRunsOnManyThreads) {
+  // Pooled pack tasks share one compiled plug-in; each run must see only
+  // its own piece. Four threads over distinct pieces must reproduce the
+  // serial outputs exactly.
+  auto plugin = compile_plugin(kZionFilter);
+  ASSERT_TRUE(plugin.is_ok());
+  constexpr int kThreads = 4;
+  constexpr int kPiecesPerThread = 3;
+  constexpr std::size_t kCols = 7;
+  std::vector<std::vector<double>> tables;
+  for (int i = 0; i < kThreads * kPiecesPerThread; ++i) {
+    tables.push_back(
+        random_table(static_cast<std::uint64_t>(i) + 40, 1000 * kCols));
+  }
+  auto piece_of = [&](std::size_t i) {
+    wire::DataPiece piece;
+    piece.meta = adios::local_array_var(
+        "zion", DataType::kDouble, {tables[i].size() / kCols, kCols});
+    piece.region = piece.meta.block;
+    piece.borrowed = as_bytes_view(std::span<const double>(tables[i]));
+    return piece;
+  };
+  std::vector<std::vector<std::byte>> serial(tables.size());
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    auto out = plugin.value()(piece_of(i));
+    ASSERT_TRUE(out.is_ok());
+    serial[i] = out.value().payload;
+  }
+  std::vector<std::vector<std::byte>> parallel(tables.size());
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 4; ++rep) {
+        for (int k = 0; k < kPiecesPerThread; ++k) {
+          const auto i = static_cast<std::size_t>(t * kPiecesPerThread + k);
+          auto out = plugin.value()(piece_of(i));
+          if (out.is_ok()) parallel[i] = std::move(out.value().payload);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t i = 0; i < tables.size(); ++i) {
+    EXPECT_EQ(parallel[i], serial[i]) << "piece " << i;
+  }
+}
+
+// ---------------------------------------------------------- attribution --
+
+/// One writer rank streams `steps` steps of a 10x2 particle table to
+/// `readers` reader ranks (each reads the writer's process group). The
+/// coordinator reader installs kThresholdFilter-style filtering at the
+/// writer or at the readers. Returns the flexio.step.plugin.ns delta.
+metrics::HistogramSnapshot plugin_hist_delta(int pack_threads, int readers,
+                                             int steps, bool run_at_writer) {
+  const metrics::HistogramSnapshot before =
+      metrics::histogram("flexio.step.plugin.ns").snapshot();
+  Runtime rt;
+  rt.set_plugin_compiler(make_plugin_compiler());
+  Program sim("sim", 1);
+  Program viz("viz", readers);
+  std::thread writer([&] {
+    StreamSpec spec;
+    spec.stream = "attrib";
+    spec.endpoint = EndpointSpec{&sim, 0, evpath::Location{0, 0}};
+    spec.method.method = "FLEXIO";
+    spec.method.timeout_ms = 20000;
+    spec.method.pack_threads = pack_threads;
+    auto w = rt.open_writer(spec);
+    ASSERT_TRUE(w.is_ok());
+    std::vector<double> particles;
+    for (int p = 0; p < 10; ++p) {
+      particles.push_back(p);
+      particles.push_back(p * 2.0);
+    }
+    for (int s = 0; s < steps; ++s) {
+      ASSERT_TRUE(w.value()->begin_step(s).is_ok());
+      ASSERT_TRUE(
+          w.value()
+              ->write(adios::local_array_var("zion", DataType::kDouble,
+                                             {10, 2}),
+                      as_bytes_view(std::span<const double>(particles)))
+              .is_ok());
+      ASSERT_TRUE(w.value()->end_step().is_ok());
+    }
+    ASSERT_TRUE(w.value()->close().is_ok());
+  });
+  std::vector<std::thread> reader_threads;
+  for (int rank = 0; rank < readers; ++rank) {
+    reader_threads.emplace_back([&, rank] {
+      StreamSpec spec;
+      spec.stream = "attrib";
+      spec.endpoint = EndpointSpec{&viz, rank, evpath::Location{3, rank}};
+      spec.method.method = "FLEXIO";
+      spec.method.timeout_ms = 20000;
+      auto r = rt.open_reader(spec);
+      ASSERT_TRUE(r.is_ok());
+      if (rank == 0) {
+        ASSERT_TRUE(
+            r.value()->install_plugin("zion", kThresholdFilter, run_at_writer)
+                .is_ok());
+      }
+      for (;;) {
+        auto step = r.value()->begin_step();
+        if (step.status().code() == ErrorCode::kEndOfStream) break;
+        ASSERT_TRUE(step.is_ok()) << step.status().to_string();
+        ASSERT_TRUE(r.value()->schedule_read_pg(0).is_ok());
+        ASSERT_TRUE(r.value()->perform_reads().is_ok());
+        ASSERT_EQ(r.value()->pg_blocks().size(), 1u);
+        // Velocity > 10 keeps particles 6..9.
+        EXPECT_EQ(r.value()->pg_blocks()[0].meta.block.count[0], 4u);
+        ASSERT_TRUE(r.value()->end_step().is_ok());
+      }
+    });
+  }
+  writer.join();
+  for (std::thread& t : reader_threads) t.join();
+  const metrics::HistogramSnapshot after =
+      metrics::histogram("flexio.step.plugin.ns").snapshot();
+  metrics::HistogramSnapshot delta;
+  delta.count = after.count - before.count;
+  delta.sum = after.sum - before.sum;
+  return delta;
+}
+
+class PluginAttributionTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_ = metrics::enabled();
+    metrics::set_enabled(true);
+  }
+  void TearDown() override { metrics::set_enabled(was_); }
+
+ private:
+  bool was_ = false;
+};
+
+TEST_F(PluginAttributionTest, WriterPluginTimeRecordedPerStep) {
+  constexpr int kSteps = 3;
+  // Two readers give the writer two pack tasks per step, so at 4 pack
+  // threads they run on the pool.
+  const auto serial = plugin_hist_delta(1, 2, kSteps, /*run_at_writer=*/true);
+  const auto pooled = plugin_hist_delta(4, 2, kSteps, /*run_at_writer=*/true);
+  EXPECT_EQ(serial.count, static_cast<std::uint64_t>(kSteps));
+  EXPECT_EQ(pooled.count, serial.count);
+  EXPECT_GT(serial.sum, 0u);
+  EXPECT_GT(pooled.sum, 0u);
+}
+
+TEST_F(PluginAttributionTest, ReaderPluginTimeRecordedPerStep) {
+  constexpr int kSteps = 3;
+  const auto reader = plugin_hist_delta(1, 2, kSteps, /*run_at_writer=*/false);
+  // Each reader rank records its own placement-side plug-in time.
+  EXPECT_EQ(reader.count, static_cast<std::uint64_t>(2 * kSteps));
+  EXPECT_GT(reader.sum, 0u);
 }
 
 }  // namespace

@@ -887,14 +887,17 @@ TEST(PipelineModesTest, WriterSidePluginFiltersParticles) {
     return PluginFn([threshold](const wire::DataPiece& in)
                         -> StatusOr<wire::DataPiece> {
       const auto cols = in.meta.block.count[1];
-      const auto* vals = reinterpret_cast<const double*>(in.payload.data());
+      // The writer hands over its buffered block without copying it, so
+      // the payload is read through bytes() (it may be borrowed).
+      const auto* vals = reinterpret_cast<const double*>(in.bytes().data());
       std::vector<double> kept;
       for (std::uint64_t row = 0; row < in.meta.block.count[0]; ++row) {
         if (vals[row * cols] > threshold) {
           kept.insert(kept.end(), vals + row * cols, vals + (row + 1) * cols);
         }
       }
-      wire::DataPiece out = in;
+      wire::DataPiece out;
+      out.meta = in.meta;
       out.meta.block.count[0] = kept.size() / cols;
       out.region = out.meta.block;
       out.payload.resize(kept.size() * sizeof(double));

@@ -53,13 +53,14 @@ def transports_report(cores=8, watchdog_ns=1.0, expose_ns=5e3,
     }
 
 
-def pack_report(seed_ns=1000.0, strided_ns=100.0):
+def pack_report(seed_ns=1000.0, strided_ns=100.0, zion_us=800.0):
     return {
         "schema": "flexio-bench-v1",
         "name": "micro_pack",
         "metrics": [
             metric("BM_PackSeedInterior3D", seed_ns),
             metric("BM_PackStridedInterior3D", strided_ns),
+            {"name": "BM_CodZionFilter", "median": zion_us, "unit": "us"},
         ],
     }
 
@@ -94,6 +95,28 @@ class CheckBenchOverheadTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
         self.assertIn("pack speedup", proc.stdout)
         self.assertNotIn("BM_WatchdogDisabled", proc.stdout)
+
+    def test_passing_pack_report(self):
+        proc = self.run_script(self.write_report(pack_report()))
+        self.assertEqual(proc.returncode, 0, proc.stdout + proc.stderr)
+        self.assertIn("ok: pack speedup", proc.stdout)
+        self.assertIn("ok: BM_CodZionFilter", proc.stdout)
+
+    def test_zion_plugin_over_budget_fails(self):
+        # 4.8 ms per piece: the stack VM with its payload copies.
+        report = pack_report(zion_us=4800.0)
+        proc = self.run_script(self.write_report(report))
+        self.assertEqual(proc.returncode, 1, proc.stdout + proc.stderr)
+        self.assertIn("FAIL: BM_CodZionFilter", proc.stdout)
+
+    def test_zion_plugin_missing_fails(self):
+        report = pack_report()
+        report["metrics"] = [m for m in report["metrics"]
+                             if m["name"] != "BM_CodZionFilter"]
+        proc = self.run_script(self.write_report(report))
+        self.assertNotEqual(proc.returncode, 0)
+        self.assertIn("BM_CodZionFilter", proc.stderr + proc.stdout)
+        self.assertIn("missing from report", proc.stderr + proc.stdout)
 
     def test_watchdog_over_budget_fails(self):
         report = transports_report(watchdog_ns=50.0)  # > max(5, 0.6 * 10)
